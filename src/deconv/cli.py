@@ -150,6 +150,18 @@ def _scaled_binomial(kernel: AtomicMeasure):
         f"got atoms {sorted(kernel.atoms.items())}")
 
 
+def _apply_on_window(g: GridSignal, measure: AtomicMeasure, lo: int, hi: int) -> GridSignal:
+    """``apply_to_signal(g, measure).restrict((lo, hi))``, reading only the rows
+    the window needs: [lo - max atom, hi - min atom], within the input."""
+    (m_lo, m_hi), = measure.bounding_box()
+    g_lo = g.lattice_origin()[0]
+    a = max(lo - m_hi, g_lo)
+    b = min(hi - m_lo, g_lo + g.shape[0] - 1)
+    if a <= b:
+        g = g.restrict((a, b))
+    return apply_to_signal(g, measure).restrict((lo, hi))
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -185,7 +197,7 @@ def _cmd_invert(args) -> int:
             config = NeumannConfig(order=args.N, max_order=max(args.max_order, args.N))
             settings.update(order=args.N, max_order=config.max_order)
         else:
-            tol = _parse_tol(args.tol, mode) or _parse_tol("1e-9", mode)
+            tol = _parse_tol("1e-9" if args.tol is None else args.tol, mode)
             config = NeumannConfig(residual_target=tol, max_order=args.max_order)
             settings.update(residual_target=tol, max_order=args.max_order)
         nu, report = neumann_inverse(mu, config)
@@ -231,6 +243,8 @@ def _cmd_blur(args) -> int:
 
 
 def _cmd_deblur(args) -> int:
+    if args.metrics and not args.reference:
+        return _usage("--metrics needs --reference to compare against")
     method = args.method
     settings = {"command": "deblur", "method": method, "input": args.input}
     if method == "vancittert":
@@ -266,7 +280,7 @@ def _cmd_deblur(args) -> int:
                 f"a window of radius {radius}: required N > {2 * radius + 2}",
                 required_halfwidth=2 * radius + 3,
                 support_radius=radius)
-        out = apply_to_signal(g, series.measure).restrict((lo, hi))
+        out = _apply_on_window(g, series.measure, lo, hi)
         settings.update(N=args.N, window=f"{lo}:{hi}", mode=args.mode)
         params = f"N={args.N};window={lo}:{hi}"
         summary = f"method={method} halfwidth={args.N} window={lo}:{hi}"
@@ -285,8 +299,6 @@ def _cmd_deblur(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         return _usage(f"unknown method {method}")
     dio.save_signal(args.output, out, _echo(settings))
-    if args.metrics and not args.reference:
-        return _usage("--metrics needs --reference to compare against")
     if args.reference:
         reference = dio.load_signal(args.reference, out.mode)
         diff = out - reference

@@ -28,6 +28,15 @@ Two deblur routes are offered:
 All convolution is periodic with mandatory zero padding (at least the
 kernel reach of 6 on each side, grown to a power of two), so the wrapped
 part of the circle never touches the retained window.
+
+Blur and deblur run on real FFTs (``rfftn``/``irfftn``) in the half
+spectrum layout.  The kernel sampled at the wrapped offsets of a grid is
+even and separable, so the transfer function of the discrete blur is real:
+the outer product of one real 1D spectrum per axis.  Every multiplier is
+even in frequency, so the origin phase factors of :func:`dft_forward` and
+:func:`dft_inverse` cancel and are never formed.  Those two functions stay
+as the quadrature transform and its left inverse for callers that need
+the full complex spectrum.
 """
 from __future__ import annotations
 
@@ -76,6 +85,9 @@ class GaussianKernelSpec:
         return out
 
 
+_UNIT_1D = GaussianKernelSpec(1)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Complex DFT values in numpy's fftfreq bin layout, plus grid metadata."""
@@ -107,16 +119,28 @@ def _require_float(f: GridSignal) -> None:
         raise ValueError("Fourier grids need at least 2 samples per axis")
 
 
-def _freq_norm_sq(shape, spacing) -> np.ndarray:
+def _outer(parts, combine, half: bool) -> np.ndarray:
+    """Broadcast one fftfreq-layout 1D array per axis into a grid.
+
+    Axes are folded together with ``combine``; ``half`` keeps only the
+    bins of the last axis that the rfftn layout holds.
+    """
     total = None
-    d = len(shape)
-    for ax in range(d):
-        u = 2.0 * np.pi * np.fft.fftfreq(shape[ax], d=spacing[ax])
+    d = len(parts)
+    for ax, part in enumerate(parts):
+        if half and ax == d - 1:
+            part = part[: part.size // 2 + 1]
         view = [1] * d
         view[ax] = -1
-        part = (u ** 2).reshape(view)
-        total = part if total is None else total + part
+        part = part.reshape(view)
+        total = part if total is None else combine(total, part)
     return total
+
+
+def _freq_norm_sq(shape, spacing, half: bool = False) -> np.ndarray:
+    """|u|^2 per bin; ``half`` gives the rfftn layout."""
+    return _outer([(2.0 * np.pi * np.fft.fftfreq(n, d=s)) ** 2
+                   for n, s in zip(shape, spacing)], np.add, half)
 
 
 def dft_forward(f: GridSignal) -> Spectrum:
@@ -201,24 +225,43 @@ def _validate_kernel_grid(like: GridSignal) -> None:
                 f"kernel needs at least {2 * KERNEL_REACH}")
 
 
-def kernel_spectrum(spec: GaussianKernelSpec, like: GridSignal) -> np.ndarray:
-    """DFT of the kernel sampled at the wrapped offsets of a signal's grid.
+def _irfftn(spectrum: np.ndarray, shape) -> np.ndarray:
+    """Real grid of the given shape from its rfftn half spectrum."""
+    return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
 
-    This is the transfer function of the discrete periodic blur on that
-    grid, in fftfreq layout, including the quadrature weight Delta^d.
+
+def _axis_transfer(n: int, spacing: float) -> np.ndarray:
+    """Real DFT of the 1D unit Gaussian sampled at the wrapped offsets of an axis.
+
+    The wrapped samples are even, so their transform is real; the spacing
+    is the axis's quadrature weight.  Layout is fftfreq order.
+    """
+    offsets = spacing * np.fft.fftfreq(n) * n
+    return np.fft.fft(_UNIT_1D.density(offsets)).real * spacing
+
+
+def _transfer(spec: GaussianKernelSpec, like: GridSignal, half: bool) -> np.ndarray:
+    """Real transfer function of the discrete periodic blur on ``like``'s grid.
+
+    The outer product of the per-axis spectra; ``half`` gives the rfftn
+    layout.
     """
     if spec.dimension != like.dimension:
         raise DimensionMismatch("kernel and grid dimension differ")
     _validate_kernel_grid(like)
-    offsets = [
-        like.spacing[ax] * np.fft.fftfreq(like.shape[ax]) * like.shape[ax]
-        for ax in range(like.dimension)
-    ]
-    if like.dimension == 1:
-        vals = spec.density(offsets[0])
-    else:
-        vals = spec.density(offsets[0][:, None], offsets[1][None, :])
-    return np.fft.ifftn(vals) * vals.size * float(np.prod(like.spacing))
+    return _outer([_axis_transfer(n, s) for n, s in zip(like.shape, like.spacing)],
+                  np.multiply, half)
+
+
+def kernel_spectrum(spec: GaussianKernelSpec, like: GridSignal) -> np.ndarray:
+    """DFT of the kernel sampled at the wrapped offsets of a signal's grid.
+
+    This is the transfer function of the discrete periodic blur on that
+    grid, in fftfreq layout, including the quadrature weight Delta^d.  It
+    is real; the array is complex for callers that combine it with
+    :func:`dft_forward` spectra.
+    """
+    return _transfer(spec, like, half=False).astype(complex)
 
 
 def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
@@ -257,9 +300,10 @@ def blur(f: GridSignal, spec: GaussianKernelSpec | None = None,
     if spec is None:
         spec = GaussianKernelSpec(f.dimension)
     padded = padded_for_blur(f, margin)
-    transfer = kernel_spectrum(spec, padded)
-    forward = dft_forward(padded)
-    return dft_inverse(Spectrum(forward.values * transfer, padded.spacing, padded.origin))
+    transfer = _transfer(spec, padded, half=True)
+    spectrum = np.fft.rfftn(padded.values)
+    spectrum *= transfer
+    return GridSignal(_irfftn(spectrum, padded.shape), padded.spacing, padded.origin)
 
 
 @dataclass(frozen=True)
@@ -295,11 +339,23 @@ class SpectrumDiagnostics:
         object.__setattr__(self, "log_amplification", arr)
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    if values.size == 0:
-        return float("-inf")
+def _logsumexp(values: np.ndarray, weights: np.ndarray) -> float:
+    """log(sum(weights * exp(values))) of a non-empty array, without overflow."""
     m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
+    terms = values - m
+    np.exp(terms, out=terms)
+    terms *= weights
+    return m + math.log(float(np.sum(terms)))
+
+
+def _half_multiplicity(n: int) -> np.ndarray:
+    """How many full-layout bins each rfft bin of a length-n axis stands for.
+
+    Bin k stands for itself and its mirror n - k; the two coincide when
+    2k = 0 (mod n), i.e. at DC and, for even n, at Nyquist.
+    """
+    k = np.arange(n // 2 + 1)
+    return np.where(2 * k % n == 0, 1, 2)
 
 
 def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
@@ -315,6 +371,9 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
     a spectrum magnitude sits below 1e-300.  ``analytic-amplifier``
     multiplies by exp(|u|^2/2), zeroing bins past ``band_limit`` or the
     float64 overflow line.
+
+    The work happens in the rfftn half layout; bin counts and the noise
+    gain weigh each half-layout bin by the full-layout bins it stands for.
     """
     _require_float(g)
     if method not in DEBLUR_METHODS:
@@ -324,15 +383,13 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
         raise ParameterOutOfRange("band_limit must be positive")
     if spec is None:
         spec = GaussianKernelSpec(g.dimension)
-    forward = dft_forward(g)
-    usq = _freq_norm_sq(g.shape, g.spacing)
-    log_amp = usq / 2.0
-    mask = np.ones(g.shape, dtype=bool)
-    if band_limit is not None:
-        mask &= usq <= float(band_limit) ** 2
-    cell = float(np.prod(g.spacing))
+    usq = _freq_norm_sq(g.shape, g.spacing, half=True)
+    if band_limit is None:
+        mask = np.ones(usq.shape, dtype=bool)
+    else:
+        mask = usq <= float(band_limit) ** 2
     if method == "discrete-reciprocal":
-        transfer = kernel_spectrum(spec, g)
+        transfer = _transfer(spec, g, half=True)
         magnitude = np.abs(transfer)
         if reciprocal_floor is None or reciprocal_floor <= 0:
             lowest = float(np.min(magnitude[mask])) if mask.any() else 1.0
@@ -342,31 +399,38 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
         else:
             mask &= magnitude >= reciprocal_floor
             floor_used = float(reciprocal_floor)
-        rec_vals = np.where(mask, forward.values / np.where(mask, transfer, 1.0), 0.0)
-        gain_bins = -np.log(np.where(mask, magnitude, 1.0))[mask]
+        multiplier = np.divide(1.0, transfer, out=np.zeros_like(transfer), where=mask)
+        gain = -np.log(magnitude[mask])
     else:
+        log_amp = usq / 2.0
         mask &= log_amp < OVERFLOW_LOG
         floor_used = None
-        amp = np.where(mask, np.exp(np.where(mask, log_amp, 0.0)), 0.0)
-        rec_vals = forward.values * amp
-        gain_bins = log_amp[mask]
-    if mask.any():
-        noise_gain_log = 0.5 * (math.log(cell) + _logsumexp(2.0 * gain_bins))
-        max_log = float(np.max(log_amp[mask]))
+        multiplier = np.exp(log_amp, out=np.zeros_like(log_amp), where=mask)
+        gain = log_amp[mask]
+    counts = np.broadcast_to(_half_multiplicity(g.shape[-1]), mask.shape)[mask]
+    applied = int(counts.sum())
+    if applied:
+        cell = float(np.prod(g.spacing))
+        noise_gain_log = 0.5 * (math.log(cell) + _logsumexp(2.0 * gain, counts))
+        max_log = float(np.max(usq[mask])) / 2.0
     else:
         noise_gain_log = None
         max_log = 0.0
+    full_log_amp = _freq_norm_sq(g.shape, g.spacing)
+    full_log_amp /= 2.0
     diagnostics = SpectrumDiagnostics(
         method=method,
         band_limit=None if band_limit is None else float(band_limit),
         reciprocal_floor=floor_used,
-        log_amplification=log_amp,
+        log_amplification=full_log_amp,
         max_log_amplification=max_log,
         noise_gain_log=noise_gain_log,
-        applied_bins=int(mask.sum()),
-        suppressed_bins=int((~mask).sum()),
+        applied_bins=applied,
+        suppressed_bins=g.values.size - applied,
     )
-    recovered = dft_inverse(Spectrum(rec_vals, g.spacing, g.origin))
+    spectrum = np.fft.rfftn(g.values)
+    spectrum *= multiplier
+    recovered = GridSignal(_irfftn(spectrum, g.shape), g.spacing, g.origin)
     return recovered, diagnostics
 
 

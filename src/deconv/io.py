@@ -37,14 +37,16 @@ def format_weight(w) -> str:
 
 
 def parse_weight(token: str, mode: str):
+    """A weight in the given mode; float weights must be finite."""
     try:
         if mode == EXACT:
             return Fraction(token)
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = float(Fraction(token)) if "/" in token else float(token)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"bad weight {token!r}: {exc}") from exc
+    if not -float("inf") < value < float("inf"):  # false for nan as well
+        raise FormatError(f"bad weight {token!r}: not a finite float64")
+    return value
 
 
 def write_measure(path, measure: AtomicMeasure, header: tuple[str, ...] = ()) -> None:

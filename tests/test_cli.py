@@ -11,8 +11,10 @@ from deconv import (
     AtomicMeasure,
     GridSignal,
     apply_to_signal,
+    binomial_inverse,
     binomial_kernel,
     from_atoms,
+    half_pair_inverse,
     three_point_kernel,
     two_bump_signal,
 )
@@ -76,6 +78,15 @@ def test_invert_neumann_tolerance_mode(tmp_path, three_point_file):
     assert residual.total_variation() <= Fraction(1, 10 ** 6)
 
 
+@pytest.mark.parametrize("mode", [EXACT, "float"])
+def test_invert_neumann_zero_tolerance_is_refused(tmp_path, three_point_file, mode):
+    # a zero target is a violated precondition, not a request for the default
+    inv = tmp_path / "inv.txt"
+    assert main(["invert", str(three_point_file), "-o", str(inv), "--method",
+                 "neumann", "--tol", "0", "--mode", mode]) == 4
+    assert not inv.exists()
+
+
 def test_invert_precondition_failures(tmp_path):
     binom = tmp_path / "b.txt"
     dio.write_measure(binom, binomial_kernel())
@@ -119,6 +130,16 @@ def test_file_errors_map_to_exit_codes(tmp_path, three_point_file):
     flat = tmp_path / "2d.txt"
     dio.write_measure(flat, from_atoms({(0, 0): 1}))
     assert main(["convolve", str(flat), str(three_point_file), "-o", str(out)]) == 3
+
+
+@pytest.mark.parametrize("token", ["1e400", "inf", "-inf", "nan"])
+def test_convolve_rejects_non_finite_float_weights(tmp_path, token):
+    lhs, rhs = tmp_path / "lhs.txt", tmp_path / "rhs.txt"
+    lhs.write_text(f"0 {token}\n")
+    rhs.write_text("0 1.0\n")
+    out = tmp_path / "o.txt"
+    assert main(["convolve", str(lhs), str(rhs), "-o", str(out), "--mode", "float"]) == 2
+    assert not out.exists()
 
 
 def test_deblur_vancittert_recovers_signal(tmp_path, capsys):
@@ -183,6 +204,43 @@ def test_blur_deblur_float_pipeline(tmp_path, capsys):
     # metrics without a reference is a usage error
     assert main(["deblur", str(blurred), "-o", str(rec), "--method",
                  "reciprocal", "--metrics", str(tmp_path / "m.csv")]) == 2
+
+
+def test_deblur_metrics_without_reference_writes_nothing(tmp_path):
+    g = tmp_path / "g.csv"
+    dio.write_signal_csv(g, apply_to_signal(
+        GridSignal.from_lattice_dict({(0,): 1}, dimension=1), binomial_kernel()))
+    out, metrics = tmp_path / "rec.csv", tmp_path / "m.csv"
+    assert main(["deblur", str(g), "-o", str(out), "--method", "binomial",
+                 "--N", "7", "--window", "-3:3", "--metrics", str(metrics)]) == 2
+    assert not out.exists() and not metrics.exists()
+
+
+@pytest.mark.parametrize("mode", [EXACT, "float"])
+@pytest.mark.parametrize("method", ["binomial", "halfpair"])
+@pytest.mark.parametrize("first,last", [(-600, 6), (-6, 600), (100, 700)])
+def test_windowed_deblur_of_long_input_matches_full_convolution(tmp_path, mode, method,
+                                                                first, last):
+    # nonzero rows over a long input that ends inside the windows' reach on one
+    # side, or lies wholly outside it
+    rng = np.random.default_rng(11)
+    g = GridSignal.from_lattice_dict(
+        {(i,): int(v) for i, v in zip(range(first, last + 1), rng.integers(1, 10, 1000))},
+        dimension=1)
+    gpath = tmp_path / "g.csv"
+    dio.write_signal_csv(gpath, g)
+    series = (binomial_inverse(11, mode=mode) if method == "binomial"
+              else half_pair_inverse(11, mode=mode))
+    full = apply_to_signal(dio.read_signal_csv(gpath, mode), series.measure)
+    for lo, hi in ((-2, 2), (-4, 4), (-4, -4), (1, 4)):
+        out = tmp_path / f"{lo}_{hi}.csv"
+        assert main(["deblur", str(gpath), "-o", str(out), "--method", method,
+                     "--N", "11", "--window", f"{lo}:{hi}", "--mode", mode]) == 0
+        want = full.restrict((lo, hi))
+        got = dio.read_signal_csv(out, mode)
+        assert got.origin == want.origin
+        assert [dio.format_weight(v) for v in got.values] == \
+            [dio.format_weight(v) for v in want.values]
 
 
 def test_blur_rejects_coarse_lattice(tmp_path):

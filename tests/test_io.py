@@ -64,6 +64,15 @@ def test_measure_parser_errors_carry_line_numbers(tmp_path):
     assert dio.read_measure(path).is_zero
 
 
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "inf", "-inf", "nan",
+                                   "1" + "0" * 400 + "/3"])
+def test_float_weights_must_be_finite(tmp_path, token):
+    path = tmp_path / "m.txt"
+    path.write_text(f"0 1\n1 {token}\n")
+    with pytest.raises(FormatError, match=":2:"):
+        dio.read_measure(path, FLOAT)
+
+
 def test_signal_csv_lattice_roundtrip(tmp_path):
     path = tmp_path / "s.csv"
     f = GridSignal.from_lattice_dict({(-1,): Fraction(2, 3), (3,): -1}, dimension=1)
