@@ -43,7 +43,6 @@ from .gaussian import (
 from .grids import EXACT, FLOAT, GridSignal
 from .measures import (
     AtomicMeasure,
-    WindowSpec,
     apply_to_signal,
     dirac,
     from_atoms,
@@ -52,12 +51,14 @@ from .measures import (
 from .neumann import NeumannConfig, neumann_inverse, van_cittert_deblur
 from .onesided import (
     Side,
+    _require_margin,
     binomial_inverse,
     binomial_kernel,
     growth_table,
     half_pair_inverse,
     pair_kernel,
     perturbation_response,
+    recognize_kernel,
     unit_pair_inverse,
 )
 
@@ -127,29 +128,6 @@ def _reciprocal(value, mode: str):
     return 1.0 / float(value)
 
 
-def _scaled_pair(kernel: AtomicMeasure) -> tuple[object, int]:
-    """Recognize c*(d0 + d1) or c*(d-1 + d0); return (c, step)."""
-    atoms = dict(kernel.atoms)
-    for step in (1, -1):
-        if set(atoms) == {(0,), (step,)} and atoms[(0,)] == atoms[(step,)]:
-            return atoms[(0,)], step
-    raise UnsupportedKernel(
-        "expected equal weights on the origin and one neighbor, got atoms "
-        f"{sorted(kernel.atoms.items())}")
-
-
-def _scaled_binomial(kernel: AtomicMeasure):
-    """Recognize c * (1/4, 1/2, 1/4) on {-1, 0, 1}; return c."""
-    atoms = dict(kernel.atoms)
-    if (set(atoms) == {(-1,), (0,), (1,)}
-            and atoms[(-1,)] == atoms[(1,)]
-            and atoms[(0,)] == 2 * atoms[(-1,)]):
-        return 4 * atoms[(-1,)]
-    raise UnsupportedKernel(
-        "expected weights proportional to (1/4, 1/2, 1/4) on {-1, 0, 1}, "
-        f"got atoms {sorted(kernel.atoms.items())}")
-
-
 def _apply_on_window(g: GridSignal, measure: AtomicMeasure, lo: int, hi: int) -> GridSignal:
     """``apply_to_signal(g, measure).restrict((lo, hi))``, reading only the rows
     the window needs: [lo - max atom, hi - min atom], within the input."""
@@ -209,23 +187,20 @@ def _cmd_invert(args) -> int:
         if args.N is None:
             return _usage(f"--N is required for method {args.method}")
         settings.update(N=args.N)
-        if args.method == "onesided":
+        family, scale, step = recognize_kernel(kernel)
+        if args.method == "onesided" and family == "pair":
             side = Side.LEFT if args.side == "left" else Side.RIGHT
             settings.update(side=args.side)
-            scale, step = _scaled_pair(kernel)
             series = unit_pair_inverse(pair_kernel(step, mode=mode), side, args.N)
-            result = series.measure.scale(_reciprocal(scale, mode))
-        elif args.method == "binomial":
-            scale = _scaled_binomial(kernel)
+        elif args.method == "binomial" and family == "binomial":
             series = binomial_inverse(args.N, mode=mode)
-            result = series.measure.scale(_reciprocal(scale, mode))
-        else:  # halfpair
-            scale, step = _scaled_pair(kernel)
-            if step != 1:
-                raise UnsupportedKernel(
-                    "the symmetric truncation inverts c*(d0 + d1) kernels")
+        elif args.method == "halfpair" and (family, step) == ("pair", 1):
             series = half_pair_inverse(args.N, mode=mode)
-            result = series.measure.scale(_reciprocal(2 * scale, mode))
+            scale = 2 * scale  # the series inverts (d0 + d1) / 2
+        else:
+            raise UnsupportedKernel(
+                f"method {args.method} cannot invert atoms {sorted(kernel.atoms.items())}")
+        result = series.measure.scale(_reciprocal(scale, mode))
         summary = (f"method={args.method} halfwidth={series.halfwidth}"
                    f" boundary_distance={series.boundary_distance()}")
     dio.write_measure(args.output, result, _echo(settings))
@@ -270,16 +245,9 @@ def _cmd_deblur(args) -> int:
             return _usage(f"--window is required for method {method}")
         g = dio.read_signal_csv(args.input, args.mode)
         lo, hi = args.window
-        radius = max(abs(lo), abs(hi))
         series = binomial_inverse(args.N, mode=args.mode) if method == "binomial" \
             else half_pair_inverse(args.N, mode=args.mode)
-        dist = series.boundary_distance()
-        if dist is not None and dist <= 2 * radius:
-            raise InsufficientTruncation(
-                f"series halfwidth {args.N} cannot separate boundary junk from "
-                f"a window of radius {radius}: required N > {2 * radius + 2}",
-                required_halfwidth=2 * radius + 3,
-                support_radius=radius)
+        _require_margin(series, max(abs(lo), abs(hi)))
         out = _apply_on_window(g, series.measure, lo, hi)
         settings.update(N=args.N, window=f"{lo}:{hi}", mode=args.mode)
         params = f"N={args.N};window={lo}:{hi}"
@@ -368,9 +336,7 @@ def _cmd_verify(args) -> int:
     mode = args.mode
     kernel = dio.read_measure(args.kernel, mode)
     candidate = dio.read_measure(args.inverse, mode)
-    lo, hi = args.window
-    window = WindowSpec(((lo, hi),) * kernel.dimension)
-    report = is_inverse(kernel, candidate, window, _parse_tol(args.tol, mode))
+    report = is_inverse(kernel, candidate, args.window, _parse_tol(args.tol, mode))
     print(f"ok={str(report.ok).lower()}"
           f" max_inside={dio.format_weight(report.max_inside)}"
           f" residual_atoms={len(report.residual)}"

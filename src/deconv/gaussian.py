@@ -184,6 +184,12 @@ def fourier_at(f: GridSignal, u) -> complex:
     return complex(np.sum(f.values * phase) * float(np.prod(f.spacing)))
 
 
+def _require_fine(spacing) -> None:
+    for s in spacing:
+        if s > MAX_KERNEL_SPACING:
+            raise GridTooCoarse(f"spacing {s} > {MAX_KERNEL_SPACING} undersamples the kernel")
+
+
 def sample_gaussian(spec: GaussianKernelSpec, shape, spacing, origin=None) -> GridSignal:
     """Sample the density on a grid covering at least [-6, 6] per axis."""
     shape = (shape,) if isinstance(shape, int) else tuple(int(n) for n in shape)
@@ -197,10 +203,8 @@ def sample_gaussian(spec: GaussianKernelSpec, shape, spacing, origin=None) -> Gr
         origin = tuple(-(n - 1) * s / 2.0 for n, s in zip(shape, spacing))
     else:
         origin = tuple(float(o) for o in origin)
+    _require_fine(spacing)
     for ax in range(spec.dimension):
-        if spacing[ax] > MAX_KERNEL_SPACING:
-            raise GridTooCoarse(
-                f"spacing {spacing[ax]} > {MAX_KERNEL_SPACING} undersamples the kernel")
         hi = origin[ax] + (shape[ax] - 1) * spacing[ax]
         if origin[ax] > -KERNEL_REACH or hi < KERNEL_REACH:
             raise GridTooNarrow(
@@ -215,10 +219,8 @@ def sample_gaussian(spec: GaussianKernelSpec, shape, spacing, origin=None) -> Gr
 
 
 def _validate_kernel_grid(like: GridSignal) -> None:
+    _require_fine(like.spacing)
     for ax in range(like.dimension):
-        if like.spacing[ax] > MAX_KERNEL_SPACING:
-            raise GridTooCoarse(
-                f"spacing {like.spacing[ax]} > {MAX_KERNEL_SPACING} undersamples the kernel")
         if like.shape[ax] * like.spacing[ax] / 2.0 < KERNEL_REACH:
             raise GridTooNarrow(
                 f"axis {ax} spans {like.shape[ax] * like.spacing[ax]}; the wrapped "
@@ -521,8 +523,7 @@ def inverse_probe(radius: float, spacing: float = 0.05,
     """
     if radius <= 0:
         raise ParameterOutOfRange("radius must be positive")
-    if spacing > MAX_KERNEL_SPACING:
-        raise GridTooCoarse(f"spacing {spacing} > {MAX_KERNEL_SPACING}")
+    _require_fine((spacing,))
     if radius > domain_radius - KERNEL_REACH:
         raise ParameterOutOfRange(
             f"radius {radius} leaves no kernel reach inside domain {domain_radius}")

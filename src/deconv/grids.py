@@ -10,10 +10,12 @@ exist, mirroring the measure algebra:
   origin).
 
 Signals are treated as immutable: the backing array is copied on
-construction and marked read-only.
+construction and marked read-only.  An exact signal holds only
+``Fraction`` values; integers are carried in as ``Fraction``.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -41,7 +43,21 @@ def _as_tuple(value, ndim: int, name: str) -> tuple[float, ...]:
     return out
 
 
-def _exact_zero_array(shape) -> np.ndarray:
+def _exact_value(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, numbers.Integral):
+        return Fraction(int(v))
+    raise ModeMismatch(f"exact signals hold Fractions or ints, got {type(v).__name__}")
+
+
+_as_exact = np.frompyfunc(_exact_value, 1, 1)
+
+
+def _zero_array(shape, mode: str) -> np.ndarray:
+    """Zeros in the arithmetic of ``mode``: Fraction(0) objects or float64."""
+    if mode != EXACT:
+        return np.zeros(shape)
     arr = np.empty(shape, dtype=object)
     arr[...] = Fraction(0)
     return arr
@@ -54,8 +70,8 @@ class GridSignal:
     Parameters
     ----------
     values : array-like
-        1D or 2D samples.  Object dtype means exact-rational mode, anything
-        else is cast to float64.
+        1D or 2D samples.  Object dtype means exact-rational mode and must
+        hold Fractions or ints; anything else is cast to float64.
     spacing : float or tuple of float, optional
         Per-axis sample spacing, default 1.
     origin : float or tuple of float, optional
@@ -71,7 +87,7 @@ class GridSignal:
         if raw.ndim not in (1, 2):
             raise DimensionMismatch(f"signals must be 1D or 2D, got {raw.ndim}D")
         if raw.dtype == object:
-            arr = raw.copy()
+            arr = _as_exact(raw)
         else:
             if np.iscomplexobj(raw):
                 raise ValueError("signals are real; take .real explicitly before building one")
@@ -171,23 +187,22 @@ class GridSignal:
 
     def restrict(self, bounds) -> "GridSignal":
         """Dense copy over an explicit lattice window, zero-filled where absent."""
-        lo_w, hi_w = _bounds_pair(bounds, self.dimension)
+        win = _window_bounds(bounds, self.dimension)
         lo = self.lattice_origin()
-        shape = tuple(hi_w[ax] - lo_w[ax] + 1 for ax in range(self.dimension))
-        out = _exact_zero_array(shape) if self.mode == EXACT else np.zeros(shape)
+        out = _zero_array(tuple(hi_w - lo_w + 1 for lo_w, hi_w in win), self.mode)
         src = []
         dst = []
-        for ax in range(self.dimension):
-            a = max(lo_w[ax], lo[ax])
-            b = min(hi_w[ax], lo[ax] + self.shape[ax] - 1)
+        for ax, (lo_w, hi_w) in enumerate(win):
+            a = max(lo_w, lo[ax])
+            b = min(hi_w, lo[ax] + self.shape[ax] - 1)
             if a > b:
                 src = None
                 break
             src.append(slice(a - lo[ax], b - lo[ax] + 1))
-            dst.append(slice(a - lo_w[ax], b - lo_w[ax] + 1))
+            dst.append(slice(a - lo_w, b - lo_w + 1))
         if src is not None:
             out[tuple(dst)] = self.values[tuple(src)]
-        return GridSignal(out, self.spacing, tuple(float(v) for v in lo_w))
+        return GridSignal(out, self.spacing, tuple(float(lo_w) for lo_w, _ in win))
 
     # --- arithmetic ----------------------------------------------------
 
@@ -215,12 +230,8 @@ class GridSignal:
             for ax in range(self.dimension)
         )
         shape = tuple(hi[ax] - lo[ax] + 1 for ax in range(self.dimension))
-        if self.mode == EXACT:
-            a = _exact_zero_array(shape)
-            b = _exact_zero_array(shape)
-        else:
-            a = np.zeros(shape)
-            b = np.zeros(shape)
+        a = _zero_array(shape, self.mode)
+        b = _zero_array(shape, self.mode)
         sl_self = tuple(slice(-lo[ax], -lo[ax] + self.shape[ax]) for ax in range(self.dimension))
         sl_other = tuple(
             slice(offs[ax] - lo[ax], offs[ax] - lo[ax] + other.shape[ax])
@@ -257,8 +268,7 @@ class GridSignal:
         pt = (point,) if isinstance(point, int) else tuple(int(c) for c in point)
         if len(pt) != self.dimension:
             raise DimensionMismatch(f"point {pt} is not {self.dimension}D")
-        spike_vals = _exact_zero_array((1,) * self.dimension) if self.mode == EXACT \
-            else np.zeros((1,) * self.dimension)
+        spike_vals = _zero_array((1,) * self.dimension, self.mode)
         spike_vals[(0,) * self.dimension] = Fraction(value) if self.mode == EXACT else float(value)
         spike = GridSignal(spike_vals, self.spacing, tuple(float(c) for c in pt))
         return self + spike
@@ -266,10 +276,7 @@ class GridSignal:
     def on_grid_of(self, other: "GridSignal") -> "GridSignal":
         """Re-embed this signal on another signal's (larger) grid, zero elsewhere."""
         offs = self._offset_from(other)
-        if self.mode == EXACT:
-            out = _exact_zero_array(other.shape)
-        else:
-            out = np.zeros(other.shape)
+        out = _zero_array(other.shape, self.mode)
         sl = []
         for ax in range(self.dimension):
             start = -offs[ax]
@@ -283,11 +290,7 @@ class GridSignal:
     # --- summaries -----------------------------------------------------
 
     def max_abs(self) -> float:
-        if self.values.size == 0:
-            return 0.0
-        if self.mode == EXACT:
-            return float(max((abs(v) for v in self.values.flat), default=Fraction(0)))
-        return float(np.max(np.abs(self.values)))
+        return float(self.max_abs_exact())
 
     def max_abs_exact(self):
         """Largest absolute sample in the signal's own arithmetic."""
@@ -339,8 +342,7 @@ class GridSignal:
     @classmethod
     def zeros(cls, shape, spacing=None, origin=None, mode: str = FLOAT) -> "GridSignal":
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        vals = _exact_zero_array(shape) if mode == EXACT else np.zeros(shape)
-        return cls(vals, spacing, origin)
+        return cls(_zero_array(shape, mode), spacing, origin)
 
     @classmethod
     def from_lattice_dict(cls, data: Mapping, dimension: int | None = None,
@@ -361,27 +363,29 @@ class GridSignal:
         lo = tuple(min(p[ax] for p, _ in items) for ax in range(dimension))
         hi = tuple(max(p[ax] for p, _ in items) for ax in range(dimension))
         shape = tuple(hi[ax] - lo[ax] + 1 for ax in range(dimension))
-        vals = _exact_zero_array(shape) if mode == EXACT else np.zeros(shape)
+        vals = _zero_array(shape, mode)
         for p, v in items:
             idx = tuple(p[ax] - lo[ax] for ax in range(dimension))
             vals[idx] = vals[idx] + (Fraction(v) if mode == EXACT else float(v))
         return cls(vals, None, tuple(float(v) for v in lo))
 
 
-def _bounds_pair(bounds, dimension: int):
-    """Normalize a window argument to per-axis (lo, hi) integer tuples.
+def _window_bounds(window, dimension: int | None = None) -> tuple[tuple[int, int], ...]:
+    """Normalize a window argument to per-axis closed (lo, hi) integer pairs.
 
-    Accepts ``(lo, hi)`` for 1D, ``((lo, hi), ...)`` per axis, or any object
-    with a ``bounds`` attribute of the latter shape.
+    Accepts ``((lo, hi), ...)`` per axis, any object with a ``bounds``
+    attribute of that shape, or a bare ``(lo, hi)``, which is that interval
+    on every axis of a ``dimension``-D operand (one axis when no dimension
+    is given).
     """
-    raw = getattr(bounds, "bounds", bounds)
-    raw = tuple(raw)
+    raw = tuple(getattr(window, "bounds", window))
     if len(raw) == 2 and all(isinstance(v, (int, np.integer)) for v in raw):
-        raw = (raw,) * dimension if dimension > 1 else (raw,)
-    if len(raw) != dimension:
-        raise DimensionMismatch(f"window has {len(raw)} axes for a {dimension}D signal")
-    lo = tuple(int(b[0]) for b in raw)
-    hi = tuple(int(b[1]) for b in raw)
-    if any(l > h for l, h in zip(lo, hi)):
+        raw = (raw,) * (dimension or 1)
+    if dimension is not None and len(raw) != dimension:
+        raise DimensionMismatch(f"window has {len(raw)} axes for a {dimension}D operand")
+    if not 1 <= len(raw) <= 2:
+        raise DimensionMismatch("windows must be 1D or 2D")
+    bounds = tuple((int(b[0]), int(b[1])) for b in raw)
+    if any(lo > hi for lo, hi in bounds):
         raise ValueError("window bounds must satisfy lo <= hi")
-    return lo, hi
+    return bounds

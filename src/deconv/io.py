@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DimensionMismatch, FormatError
 from .grids import EXACT, FLOAT, GridSignal
 from .measures import AtomicMeasure, from_atoms
 
@@ -152,6 +152,8 @@ def read_signal_csv(path, mode: str | None = None) -> GridSignal:
                 idx = int(xtok)
             except ValueError as exc:
                 raise FormatError(f"bad index {xtok!r}", line=lineno, path=str(path)) from exc
+            if idx in data:
+                raise FormatError(f"repeated index {idx}", line=lineno, path=str(path))
             try:
                 data[idx] = parse_weight(vtok, mode)
             except FormatError as exc:
@@ -181,6 +183,32 @@ def read_signal_csv(path, mode: str | None = None) -> GridSignal:
 
 def _meta_path(path) -> str:
     return str(path) + ".meta"
+
+
+def _read_fields(sidecar) -> dict[str, list[str]]:
+    """The ``key value...`` lines of a sidecar file; '#' starts a comment line."""
+    fields = {}
+    with open(sidecar, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            text = raw.strip()
+            if text and not text.startswith("#"):
+                key, *values = text.split()
+                fields[key] = values
+    return fields
+
+
+def _grid_from_file(values, spacing, origin, path) -> GridSignal:
+    """The signal a grid file and its sidecar describe.
+
+    Non-finite numbers and axis counts that disagree are malformed files,
+    so they raise ``FormatError`` rather than a signal's own errors.
+    """
+    if not np.all(np.isfinite(spacing + origin)):
+        raise FormatError("spacing and origin must be finite", path=str(path))
+    try:
+        return GridSignal(values, spacing, origin)
+    except (ValueError, DimensionMismatch) as exc:
+        raise FormatError(str(exc), path=str(path)) from exc
 
 
 def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
@@ -289,14 +317,7 @@ def read_pgm(path) -> GridSignal:
     origin = (0.0, 0.0)
     meta = _meta_path(path)
     if os.path.exists(meta):
-        fields = {}
-        with open(meta, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                parts = text.split()
-                fields[parts[0]] = parts[1:]
+        fields = _read_fields(meta)
         try:
             spacing = (float(fields["spacing"][0]), float(fields["spacing"][1]))
             origin = (float(fields["origin"][0]), float(fields["origin"][1]))
@@ -307,7 +328,7 @@ def read_pgm(path) -> GridSignal:
         values = vmin + counts / maxval * (vmax - vmin)
     else:
         values = counts
-    return GridSignal(values, spacing, origin)
+    return _grid_from_file(values, spacing, origin, path)
 
 
 # --- raw float grids --------------------------------------------------------
@@ -335,14 +356,7 @@ def read_raw_grid(path) -> GridSignal:
     desc = _desc_path(path)
     if not os.path.exists(desc):
         raise FormatError(f"missing descriptor {desc}", path=str(path))
-    fields = {}
-    with open(desc, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            fields[parts[0]] = parts[1:]
+    fields = _read_fields(desc)
     try:
         if fields["dtype"] != ["float64-le"]:
             raise FormatError(f"unsupported dtype {fields['dtype']}", path=str(path))
@@ -358,7 +372,7 @@ def read_raw_grid(path) -> GridSignal:
         raise FormatError(
             f"raster holds {len(raw)} bytes, descriptor wants {expected}", path=str(path))
     values = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    return GridSignal(values, spacing, origin)
+    return _grid_from_file(values, spacing, origin, path)
 
 
 # --- extension dispatch -----------------------------------------------------

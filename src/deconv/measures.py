@@ -25,10 +25,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-import numpy as np
-
 from .errors import DimensionMismatch, ModeMismatch
-from .grids import EXACT, FLOAT, GridSignal, _bounds_pair, _exact_zero_array
+from .grids import EXACT, FLOAT, GridSignal, _window_bounds, _zero_array
 
 Point = tuple[int, ...]
 Weight = Union[Fraction, float]
@@ -210,22 +208,21 @@ class AtomicMeasure:
             result = result.convolve(self)
         return result
 
+    def _split(self, window) -> tuple["AtomicMeasure", "AtomicMeasure"]:
+        """(atoms inside the window, atoms outside it), in one pass."""
+        bounds = _window_bounds(window, self._dimension)
+        parts = ({}, {})
+        for p, w in self._atoms.items():
+            inside = all(lo <= c <= hi for c, (lo, hi) in zip(p, bounds))
+            parts[not inside][p] = w
+        return tuple(AtomicMeasure(self._dimension, part, self._mode) for part in parts)
+
     def restrict(self, window) -> "AtomicMeasure":
         """Atoms inside the window, dropped outside."""
-        lo, hi = _bounds_pair(window, self._dimension)
-        kept = {
-            p: w for p, w in self._atoms.items()
-            if all(lo[ax] <= p[ax] <= hi[ax] for ax in range(self._dimension))
-        }
-        return AtomicMeasure(self._dimension, kept, self._mode)
+        return self._split(window)[0]
 
     def outside(self, window) -> "AtomicMeasure":
-        lo, hi = _bounds_pair(window, self._dimension)
-        kept = {
-            p: w for p, w in self._atoms.items()
-            if not all(lo[ax] <= p[ax] <= hi[ax] for ax in range(self._dimension))
-        }
-        return AtomicMeasure(self._dimension, kept, self._mode)
+        return self._split(window)[1]
 
     @classmethod
     def unit(cls, dimension: int = 1, mode: str = EXACT) -> "AtomicMeasure":
@@ -258,15 +255,7 @@ class WindowSpec:
     bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        raw = tuple(self.bounds)
-        if len(raw) == 2 and all(isinstance(v, (int, np.integer)) for v in raw):
-            raw = (raw,)
-        norm = tuple((int(b[0]), int(b[1])) for b in raw)
-        if not 1 <= len(norm) <= 2:
-            raise DimensionMismatch("windows must be 1D or 2D")
-        if any(lo > hi for lo, hi in norm):
-            raise ValueError("window bounds must satisfy lo <= hi")
-        object.__setattr__(self, "bounds", norm)
+        object.__setattr__(self, "bounds", _window_bounds(self.bounds))
 
     @property
     def dimension(self) -> int:
@@ -307,25 +296,25 @@ class InversionReport:
         return self.ok
 
 
-def _default_tol(mode: str) -> Weight:
-    return Fraction(0) if mode == EXACT else 1e-9
+def _window_and_tol(t: AtomicMeasure, other: AtomicMeasure, window, tol):
+    """The window on t's axes and the tolerance in t's mode (0 or 1e-9 by default)."""
+    t._check_compatible(other)
+    win = WindowSpec(_window_bounds(window, t.dimension))
+    if tol is None:
+        return win, Fraction(0) if t.mode == EXACT else 1e-9
+    return win, coerce_weight(tol, t.mode)
 
 
 def is_inverse(t: AtomicMeasure, v: AtomicMeasure, window, tol=None) -> InversionReport:
-    """Check whether v inverts t on a window around the origin."""
-    t._check_compatible(v)
-    win = window if isinstance(window, WindowSpec) else WindowSpec(window)
-    if win.dimension != t.dimension:
-        raise DimensionMismatch("window dimension does not match the measures")
+    """Check whether v inverts t on a window around the origin.
+
+    A bare ``(lo, hi)`` window is that interval on every axis of t.
+    """
+    win, tol = _window_and_tol(t, v, window, tol)
     if not win.contains((0,) * t.dimension):
         raise ValueError("inverse checks need a window covering the origin")
-    if tol is None:
-        tol = _default_tol(t.mode)
-    else:
-        tol = coerce_weight(tol, t.mode)
     residual = t.convolve(v) - AtomicMeasure.unit(t.dimension, t.mode)
-    inside = residual.restrict(win)
-    outside = residual.outside(win)
+    inside, outside = residual._split(win)
     max_inside = inside.max_abs_weight()
     return InversionReport(
         ok=max_inside <= tol,
@@ -340,14 +329,9 @@ def is_inverse(t: AtomicMeasure, v: AtomicMeasure, window, tol=None) -> Inversio
 
 def is_zero_divisor_pair(t: AtomicMeasure, d: AtomicMeasure, window, tol=None) -> bool:
     """True when t * d vanishes (within tol) on the window."""
-    t._check_compatible(d)
+    win, tol = _window_and_tol(t, d, window, tol)
     if d.is_zero:
         raise ValueError("zero-divisor checks need a nonzero second factor")
-    win = window if isinstance(window, WindowSpec) else WindowSpec(window)
-    if tol is None:
-        tol = _default_tol(t.mode)
-    else:
-        tol = coerce_weight(tol, t.mode)
     product = t.convolve(d).restrict(win)
     return product.max_abs_weight() <= tol
 
@@ -367,15 +351,14 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
     if f.mode != m.mode:
         raise ModeMismatch(f"signal mode {f.mode} does not match measure mode {m.mode}")
     if m.is_zero:
-        zeros = _exact_zero_array(f.shape) if f.mode == EXACT else np.zeros(f.shape)
-        return GridSignal(zeros, f.spacing, f.origin)
+        return GridSignal(_zero_array(f.shape, f.mode), f.spacing, f.origin)
     box = m.bounding_box()
     lo_m = tuple(b[0] for b in box)
     hi_m = tuple(b[1] for b in box)
     f_lo = f.lattice_origin()
     d = f.dimension
     shape = tuple(f.shape[ax] + hi_m[ax] - lo_m[ax] for ax in range(d))
-    out = _exact_zero_array(shape) if f.mode == EXACT else np.zeros(shape)
+    out = _zero_array(shape, f.mode)
     for q, w in sorted(m.atoms.items()):
         sl = tuple(
             slice(q[ax] - lo_m[ax], q[ax] - lo_m[ax] + f.shape[ax]) for ax in range(d))

@@ -122,23 +122,37 @@ def _finish(measure: AtomicMeasure, kernel: AtomicMeasure, window: WindowSpec) -
     return TruncatedSeries(measure, kernel, window, tuple(sorted(resid.atoms)))
 
 
-def _classify_pair(kernel: AtomicMeasure) -> int:
-    if kernel.dimension != 1:
-        raise DimensionMismatch("one-sided series are one-dimensional")
-    atoms = dict(kernel.atoms)
+def recognize_kernel(measure: AtomicMeasure) -> tuple[str, object, int]:
+    """Name a kernel the series here can invert: ``(family, scale, step)``.
+
+    ``("pair", c, step)`` is ``c * (delta_0 + delta_step)`` with step +1 or
+    -1; ``("binomial", c, 0)`` is ``c`` times :func:`binomial_kernel`.
+    Anything else raises ``UnsupportedKernel``.
+    """
+    atoms = dict(measure.atoms)
     for step in (1, -1):
-        if set(atoms) == {(0,), (step,)} and all(w == 1 for w in atoms.values()):
-            return step
+        if set(atoms) == {(0,), (step,)} and atoms[(0,)] == atoms[(step,)]:
+            return "pair", atoms[(0,)], step
+    if (set(atoms) == {(-1,), (0,), (1,)}
+            and atoms[(-1,)] == atoms[(1,)]
+            and atoms[(0,)] == 2 * atoms[(-1,)]):
+        return "binomial", 4 * atoms[(-1,)], 0
     raise UnsupportedKernel(
-        "expected delta_0 + delta_1 or delta_{-1} + delta_0, got atoms "
-        f"{ {p: str(w) for p, w in kernel.atoms.items()} }")
+        "expected c*(d0 + d1), c*(d-1 + d0) or c*(1/4, 1/2, 1/4) on {-1, 0, 1}, "
+        f"got atoms {sorted(measure.atoms.items())}")
 
 
 def unit_pair_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> TruncatedSeries:
     """First ``terms`` atoms of the one-sided inverse series of a unit pair kernel."""
     if terms < 1:
         raise ParameterOutOfRange("a truncated series needs at least one term")
-    step = _classify_pair(kernel)
+    if kernel.dimension != 1:
+        raise DimensionMismatch("one-sided series are one-dimensional")
+    family, scale, step = recognize_kernel(kernel)
+    if family != "pair" or scale != 1:
+        raise UnsupportedKernel(
+            f"expected delta_0 + delta_1 or delta_{{-1}} + delta_0, got a {family} "
+            f"kernel of scale {scale}")
     mode = kernel.mode
     if step == 1 and side is Side.RIGHT:
         atoms = {k: (-1) ** k for k in range(terms)}
@@ -150,7 +164,7 @@ def unit_pair_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> Truncate
         atoms = {-k: (-1) ** k for k in range(terms)}
     lo, hi = min(atoms), max(atoms)
     measure = from_atoms(atoms, mode=mode)
-    return _finish(measure, kernel, WindowSpec(((lo, hi),)))
+    return _finish(measure, kernel, WindowSpec((lo, hi)))
 
 
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -183,7 +197,7 @@ def binomial_inverse(halfwidth: int, *, mode: str = EXACT) -> TruncatedSeries:
         atoms[-n] = w
     measure = from_atoms(atoms, mode=mode)
     return _finish(measure, binomial_kernel(mode=mode),
-                   WindowSpec(((-halfwidth, halfwidth),)))
+                   WindowSpec((-halfwidth, halfwidth)))
 
 
 def half_pair_inverse(halfwidth: int, *, mode: str = EXACT) -> TruncatedSeries:
@@ -201,7 +215,7 @@ def half_pair_inverse(halfwidth: int, *, mode: str = EXACT) -> TruncatedSeries:
         atoms[n] = (-1) ** n if n >= 0 else (-1) ** (n + 1)
     measure = from_atoms(atoms, mode=mode)
     return _finish(measure, half_pair_kernel(mode=mode),
-                   WindowSpec(((-halfwidth, halfwidth),)))
+                   WindowSpec((-halfwidth, halfwidth)))
 
 
 # --- reconstruction and its failure modes ---------------------------------
@@ -225,16 +239,27 @@ class MarginReport:
     max_contamination: object
 
 
-def _require_margin(f: GridSignal, inverse: TruncatedSeries) -> tuple[int, int | None]:
-    s = f.support_radius()
+def _require_margin(inverse: TruncatedSeries, radius: int) -> int | None:
+    """The series' boundary distance, refused unless it exceeds 2 * radius."""
     dist = inverse.boundary_distance()
-    if dist is not None and dist <= 2 * s:
+    if dist is not None and dist <= 2 * radius:
         raise InsufficientTruncation(
             f"series halfwidth {inverse.halfwidth} cannot separate boundary junk "
-            f"from a support radius {s} image: required N > {2 * s + 2}",
-            required_halfwidth=2 * s + 3,
-            support_radius=s)
-    return s, dist
+            f"from support radius {radius}: required N > {2 * radius + 2}",
+            required_halfwidth=2 * radius + 3,
+            support_radius=radius)
+    return dist
+
+
+def _margin_of(f: GridSignal, kernel: AtomicMeasure,
+               inverse: TruncatedSeries) -> tuple[int, int | None]:
+    """Support radius of f and boundary distance of a series fit to unblur it."""
+    if f.dimension != 1:
+        raise DimensionMismatch("series reconstruction works on 1D lattice signals")
+    if kernel != inverse.kernel:
+        raise UnsupportedKernel("this inverse was built for a different kernel")
+    s = f.support_radius()
+    return s, _require_margin(inverse, s)
 
 
 def reconstruct(f: GridSignal, kernel: AtomicMeasure,
@@ -247,11 +272,7 @@ def reconstruct(f: GridSignal, kernel: AtomicMeasure,
     restricted part reproduces ``f`` atom for atom whenever the margin
     precondition holds.
     """
-    if f.dimension != 1:
-        raise DimensionMismatch("series reconstruction works on 1D lattice signals")
-    if kernel != inverse.kernel:
-        raise UnsupportedKernel("this inverse was built for a different kernel")
-    s, dist = _require_margin(f, inverse)
+    s, dist = _margin_of(f, kernel, inverse)
     blurred = apply_to_signal(f, kernel)
     full = apply_to_signal(blurred, inverse.measure)
     restricted = full.restrict((-s, s))
@@ -293,11 +314,7 @@ def perturbation_response(f: GridSignal, kernel: AtomicMeasure,
     and plain ``eps`` for the half-pair inverse.  Reported next to the
     measured maximum for comparison.
     """
-    if f.dimension != 1:
-        raise DimensionMismatch("series reconstruction works on 1D lattice signals")
-    if kernel != inverse.kernel:
-        raise UnsupportedKernel("this inverse was built for a different kernel")
-    s, dist = _require_margin(f, inverse)
+    s, dist = _margin_of(f, kernel, inverse)
     eps_w = coerce_weight(eps, kernel.mode)
     blurred = apply_to_signal(f, kernel)
     noisy = blurred.with_impulse(site, eps_w)

@@ -10,11 +10,13 @@ from deconv import (
     EXACT,
     AtomicMeasure,
     GridSignal,
+    InsufficientTruncation,
     apply_to_signal,
     binomial_inverse,
     binomial_kernel,
     from_atoms,
     half_pair_inverse,
+    reconstruct,
     three_point_kernel,
     two_bump_signal,
 )
@@ -174,7 +176,7 @@ def test_deblur_vancittert_needs_a(tmp_path):
                  "--method", "vancittert", "--a", "3/2"]) == 4
 
 
-def test_deblur_series_margin_exit_code(tmp_path):
+def test_deblur_series_margin_exit_code(tmp_path, capsys):
     f = GridSignal.from_lattice_dict({(-3,): 2, (2,): 5}, dimension=1)
     g = apply_to_signal(f, binomial_kernel())
     gpath = tmp_path / "g.csv"
@@ -182,6 +184,10 @@ def test_deblur_series_margin_exit_code(tmp_path):
     out = tmp_path / "rec.csv"
     assert main(["deblur", str(gpath), "-o", str(out), "--method", "binomial",
                  "--N", "6", "--window", "-3:3"]) == 5
+    # the library's margin rule and message, with the window radius
+    with pytest.raises(InsufficientTruncation) as err:
+        reconstruct(f, binomial_kernel(), binomial_inverse(6))
+    assert capsys.readouterr().err == f"error: {err.value}\n"
     assert main(["deblur", str(gpath), "-o", str(out), "--method", "binomial",
                  "--N", "7", "--window", "-3:3"]) == 0
     assert dio.read_signal_csv(out).lattice_equal(f)

@@ -40,6 +40,17 @@ def test_bad_samples_rejected():
         GridSignal(np.zeros(3), -1.0, 0.0)
 
 
+def test_exact_signals_hold_only_fractions():
+    with pytest.raises(ModeMismatch):
+        GridSignal(np.array([0.5, Fraction(1, 2)], dtype=object))
+    with pytest.raises(ModeMismatch):
+        GridSignal(np.array(["1/2"], dtype=object))
+    f = GridSignal(np.array([1, Fraction(1, 2), np.int64(-3)], dtype=object))
+    assert f.mode == EXACT
+    assert [type(v) for v in f.values] == [Fraction] * 3
+    assert f.values.tolist() == [1, Fraction(1, 2), -3]
+
+
 def test_combination_requires_alignment():
     a = GridSignal(np.ones(3), 0.5, 0.0)
     with pytest.raises(ValueError):

@@ -114,6 +114,9 @@ def test_signal_csv_errors(tmp_path):
     path.write_text("x,value\n0.0,1\n0.1,1\n0.3,1\n")
     with pytest.raises(FormatError, match="uniform"):
         dio.read_signal_csv(path)
+    path.write_text("index,value\n0,1\n0,5\n")
+    with pytest.raises(FormatError, match=":3: repeated index 0"):
+        dio.read_signal_csv(path)
     path.write_text("index,value\nbad,1\n")
     with pytest.raises(FormatError) as err:
         dio.read_signal_csv(path)

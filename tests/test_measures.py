@@ -90,6 +90,22 @@ def test_window_spec_normalization():
         WindowSpec((3, 1))
 
 
+def test_bare_window_spans_every_axis():
+    # a bare (lo, hi) is that interval on each axis of the operand
+    t = from_atoms({(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    v = from_atoms({(0, 0): 1, (1, 0): -1, (0, 1): -1, (2, 2): 5})
+    per_axis = ((-1, 1), (-1, 1))
+    assert t.restrict((-1, 1)) == t.restrict(per_axis) == t.restrict(WindowSpec(per_axis))
+    assert v.outside((-1, 1)) == v.outside(per_axis) == from_atoms({(2, 2): 5})
+    bare, explicit = is_inverse(t, v, (-1, 1)), is_inverse(t, v, per_axis)
+    assert (bare.ok, bare.window, bare.inside, bare.outside) == \
+        (explicit.ok, explicit.window, explicit.inside, explicit.outside)
+    assert str(bare.window) == "[-1,1]x[-1,1]"
+    assert is_zero_divisor_pair(t, dirac((5, 5), 1), (-1, 1))
+    with pytest.raises(DimensionMismatch):
+        is_inverse(t, v, ((-1, 1),))
+
+
 def test_is_inverse_telescoping_example():
     pair = from_atoms({0: 1, 1: 1})
     series = from_atoms({k: (-1) ** k for k in range(6)})

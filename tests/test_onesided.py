@@ -1,5 +1,7 @@
 """Truncated one-sided and two-sided series inverses on the line."""
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,9 @@ from deconv import (
     reconstruct,
     unit_pair_inverse,
 )
+from deconv.onesided import recognize_kernel
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _atoms(series):
@@ -82,6 +87,29 @@ def test_unit_pair_inverse_guards():
         unit_pair_inverse(dirac((0, 0), 1), Side.RIGHT, 3)
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_recognize_kernel_names_scaled_kernels(mode):
+    assert recognize_kernel(pair_kernel(1, mode=mode).scale(3)) == ("pair", 3, 1)
+    assert recognize_kernel(pair_kernel(-1, mode=mode).scale(Fraction(5, 2))) \
+        == ("pair", Fraction(5, 2), -1)
+    assert recognize_kernel(half_pair_kernel(mode=mode)) == ("pair", Fraction(1, 2), 1)
+    assert recognize_kernel(binomial_kernel(mode=mode).scale(2)) == ("binomial", 2, 0)
+    assert recognize_kernel(binomial_kernel(mode=mode)) == ("binomial", 1, 0)
+
+
+@pytest.mark.parametrize("atoms", [
+    {0: 1, 1: 2},                                    # unequal pair
+    {0: 1, 2: 1},                                    # not neighbours
+    {-1: 1, 0: 1, 1: 1},                             # flat, not binomial
+    {-1: 1, 0: 2, 1: 3},                             # lopsided
+    {0: 1},
+    {(0, 0): 1, (0, 1): 1},                          # 2D pair
+])
+def test_recognize_kernel_rejects(atoms):
+    with pytest.raises(UnsupportedKernel):
+        recognize_kernel(from_atoms(atoms))
+
+
 def test_cauchy_product_interior_grows_linearly():
     lhs = unit_pair_inverse(pair_kernel(1), Side.RIGHT, 12)
     rhs = unit_pair_inverse(pair_kernel(-1), Side.RIGHT, 12)
@@ -124,6 +152,7 @@ def test_half_pair_inverse_interior_annihilation(n):
     assert series.boundary == ((-n,), (n + 1,))
     inside = series.residual().restrict((-(n - 1), n))
     assert inside.is_zero
+    assert series.measure.max_abs_weight() == 1
 
 
 def test_reconstruct_is_exact_inside_margin():
@@ -147,6 +176,16 @@ def test_reconstruct_margin_failure():
     # one more than twice the radius is enough
     rec, _ = reconstruct(f, binomial_kernel(), binomial_inverse(13))
     assert rec.lattice_equal(f)
+
+
+def test_margin_demo_script_recovers_exactly(capsys):
+    spec = importlib.util.spec_from_file_location("margin_demo", SCRIPTS / "margin_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.main(["--radius", "3", "--N", "9"]) == 0
+    out = capsys.readouterr().out
+    assert "exact recovery: True" in out
+    assert "half-pair: eps 1/1000 moves the reconstruction by 1/1000" in out
 
 
 def test_reconstruct_rejects_mismatched_kernel():
