@@ -186,13 +186,18 @@ def _meta_path(path) -> str:
 
 
 def _read_fields(sidecar) -> dict[str, list[str]]:
-    """The ``key value...`` lines of a sidecar file; '#' starts a comment line."""
+    """The ``key value...`` lines of a sidecar file; '#' starts a comment line.
+
+    A key given twice is a ``FormatError``: neither value may silently win.
+    """
     fields = {}
     with open(sidecar, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             text = raw.strip()
             if text and not text.startswith("#"):
                 key, *values = text.split()
+                if key in fields:
+                    raise FormatError(f"repeated key {key!r}", line=lineno, path=str(sidecar))
                 fields[key] = values
     return fields
 
@@ -311,6 +316,8 @@ def read_pgm(path) -> GridSignal:
             raise FormatError(
                 f"expected {w * h} samples, found {len(vals)}", path=str(path))
         counts = np.asarray(vals, dtype=float).reshape(h, w)
+    if counts.min(initial=0.0) < 0:
+        raise FormatError("negative sample", path=str(path))
     if counts.max(initial=0.0) > maxval:
         raise FormatError("sample exceeds maxval", path=str(path))
     spacing = (1.0, 1.0)

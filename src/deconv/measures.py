@@ -10,7 +10,12 @@ for d in {1, 2}:
 * every measure carries an arithmetic mode, either exact rationals
   (``fractions.Fraction``) or float64, and modes never mix silently;
 * atoms with weight exactly zero are pruned on construction and after
-  every operation.
+  every operation;
+* convolution, of two measures or of a measure and a signal, runs on one
+  array core: exact weights enter it, as a rule, as Python-int numerators
+  over one common denominator, and the products of each result are summed
+  in the order the atom-by-atom definition gives, so float results keep
+  their bytes.
 
 Because truncated series are only inverses up to boundary junk, the
 "is an inverse" question is always asked on an explicit window: the
@@ -19,11 +24,14 @@ outside-window parts and both are reported.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 from .errors import DimensionMismatch, ModeMismatch
 from .grids import EXACT, FLOAT, GridSignal, _window_bounds, _zero_array
@@ -60,6 +68,96 @@ def coerce_weight(value, mode: str) -> Weight:
     if mode == FLOAT:
         return float(value)
     raise ValueError(f"unknown arithmetic mode {mode!r}")
+
+
+# --- the convolution core ------------------------------------------------
+
+_PASS_PRODUCTS = 1 << 16  # products formed per pass; bounds the core's scratch memory
+_SPARSE_CELLS = 8         # a result box with more cells than this per product is
+                          # indexed by the cells the products hit, not by all of them
+
+
+def _box(points) -> tuple[Point, Point]:
+    """Lower and upper corner of a nonempty point set."""
+    axes = tuple(zip(*points))
+    return tuple(map(min, axes)), tuple(map(max, axes))
+
+
+def _strides(shape) -> tuple[int, ...]:
+    """Row-major strides of a 1D or 2D box."""
+    return (shape[1], 1) if len(shape) == 2 else (1,)
+
+
+def _key_dtype(*numbers_seen) -> type:
+    """int64 for cell numbers while every coordinate and count fits well inside it."""
+    return np.int64 if max(map(abs, numbers_seen)) < 1 << 62 else object
+
+
+def _cell_keys(points, lo, strides, dtype) -> np.ndarray:
+    """Row-major cell numbers of lattice points in a box with lower corner lo."""
+    coords = np.array(points, dtype=dtype).reshape(len(points), len(lo))
+    return (coords - np.array(lo, dtype=dtype)) @ np.array(strides, dtype=dtype)
+
+
+def _cell_points(cells: np.ndarray, lo, strides) -> list[Point]:
+    """Lattice points of row-major cell numbers: the inverse of :func:`_cell_keys`."""
+    axes = []
+    for low, stride in zip(lo, strides):
+        axes.append([index + low for index in (cells // stride).tolist()])
+        cells = cells % stride
+    return list(zip(*axes))
+
+
+def _common_scale(weights, mode: str) -> tuple[np.ndarray, int]:
+    """Weights as one array over one denominator.
+
+    Float weights stay float64 over 1.  Exact ones become Python-int
+    numerators over the lcm of their denominators, the layout FLINT's
+    ``fmpq_poly`` uses, so the core multiplies and adds integers and pays
+    for gcds only once per result atom.  When the denominators share too
+    little for that (their lcm outgrows twice the longest of them by more
+    than 1024 bits), products of the scaled numerators would cost more
+    than the gcds they save, and the weights stay ``Fraction``s over 1.
+    """
+    if mode == FLOAT:
+        return np.asarray(weights, dtype=np.float64), 1
+    dens = [w.denominator for w in weights]
+    limit = 2 * max(dens).bit_length() + 1024
+    den = 1
+    for d in dens:
+        den = math.lcm(den, d)
+        if den.bit_length() > limit:
+            return np.array(weights, dtype=object), 1
+    return np.array([w.numerator * (den // d) for w, d in zip(weights, dens)], dtype=object), den
+
+
+def _convolve_core(ka, va, kb, vb, cells: int, compress: bool):
+    """Sum ``va[i] * vb[j]`` into cell ``ka[i] + kb[j]`` of a flat result.
+
+    The products are added one at a time in (i, j) order onto zeros
+    (``np.add.at`` is unbuffered and keeps that order), so every float sum
+    is the one an atom-by-atom loop over i, then j, makes.  Returns
+    ``(keys, sums, first)`` over the result's slots: slot k is cell k when
+    ``keys`` is None, and cell ``keys[k]`` when ``compress`` asks for only
+    the cells the products hit; ``first[k]`` is the (i, j)-order index of
+    the first product that lands in slot k.
+    """
+    step = max(1, _PASS_PRODUCTS // len(kb))
+    passes = [slice(i, i + step) for i in range(0, len(ka), step)]
+    keys = None
+    if compress:
+        keys = np.unique(np.concatenate([np.unique(np.add.outer(ka[p], kb)) for p in passes]))
+    size = cells if keys is None else len(keys)
+    sums = np.zeros(size, dtype=va.dtype)
+    first = np.full(size, len(ka) * len(kb))
+    for p in passes:
+        cell = np.add.outer(ka[p], kb).ravel()
+        slot = cell.astype(np.intp) if keys is None else np.searchsorted(keys, cell)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as in Python
+            np.add.at(sums, slot, np.multiply.outer(va[p], vb).ravel())
+        start = p.start * len(kb)
+        np.minimum.at(first, slot, np.arange(start, start + slot.size))
+    return keys, sums, first
 
 
 class AtomicMeasure:
@@ -131,10 +229,7 @@ class AtomicMeasure:
     def bounding_box(self) -> tuple[tuple[int, int], ...] | None:
         if not self._atoms:
             return None
-        return tuple(
-            (min(p[ax] for p in self._atoms), max(p[ax] for p in self._atoms))
-            for ax in range(self._dimension)
-        )
+        return tuple(zip(*_box(self._atoms)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AtomicMeasure):
@@ -159,14 +254,28 @@ class AtomicMeasure:
             raise ModeMismatch(
                 f"cannot combine {self._mode} and {other._mode} mode measures")
 
+    def _with_atoms(self, store: dict) -> "AtomicMeasure":
+        """A measure of this dimension and mode on atoms already in its form.
+
+        The results of the algebra below have valid points and weights by
+        construction, so they skip the public constructor's per-atom checks;
+        only the zero weights are pruned here.
+        """
+        out = AtomicMeasure.__new__(AtomicMeasure)
+        out._dimension = self._dimension
+        out._mode = self._mode
+        out._atoms = {p: w for p, w in store.items() if w != 0}
+        return out
+
     def __add__(self, other):
         if not isinstance(other, AtomicMeasure):
             return NotImplemented
         self._check_compatible(other)
         merged = dict(self._atoms)
+        zero = self._zero()
         for p, w in other._atoms.items():
-            merged[p] = merged.get(p, self._zero()) + w
-        return AtomicMeasure(self._dimension, merged, self._mode)
+            merged[p] = merged.get(p, zero) + w
+        return self._with_atoms(merged)
 
     def __sub__(self, other):
         if not isinstance(other, AtomicMeasure):
@@ -178,8 +287,7 @@ class AtomicMeasure:
 
     def scale(self, factor) -> "AtomicMeasure":
         c = coerce_weight(factor, self._mode)
-        return AtomicMeasure(
-            self._dimension, {p: w * c for p, w in self._atoms.items()}, self._mode)
+        return self._with_atoms({p: w * c for p, w in self._atoms.items()})
 
     def __mul__(self, factor):
         if isinstance(factor, AtomicMeasure):
@@ -189,15 +297,36 @@ class AtomicMeasure:
     __rmul__ = __mul__
 
     def convolve(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        """Convolution product: atom locations add, weights multiply."""
+        """Convolution product: atom locations add, weights multiply.
+
+        The result lists its atoms in the order products first reach them,
+        taking this measure's atoms in their order and, within each, the
+        other's; float sums add their products in the same order.
+        """
         self._check_compatible(other)
-        out: dict[Point, Weight] = {}
-        zero = self._zero()
-        for p, wp in self._atoms.items():
-            for q, wq in other._atoms.items():
-                s = tuple(a + b for a, b in zip(p, q))
-                out[s] = out.get(s, zero) + wp * wq
-        return AtomicMeasure(self._dimension, out, self._mode)
+        if not self._atoms or not other._atoms:
+            return self._with_atoms({})
+        pa, wa = zip(*self._atoms.items())
+        pb, wb = zip(*other._atoms.items())
+        (lo_a, hi_a), (lo_b, hi_b) = _box(pa), _box(pb)
+        lo = tuple(a + b for a, b in zip(lo_a, lo_b))
+        shape = tuple(ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b))
+        strides = _strides(shape)
+        cells = math.prod(shape)
+        dtype = _key_dtype(cells, *lo_a, *hi_a, *lo_b, *hi_b)
+        va, da = _common_scale(wa, self._mode)
+        vb, db = _common_scale(wb, self._mode)
+        keys, sums, first = _convolve_core(
+            _cell_keys(pa, lo_a, strides, dtype), va, _cell_keys(pb, lo_b, strides, dtype), vb,
+            cells, compress=cells > _SPARSE_CELLS * len(pa) * len(pb))
+        hit = np.flatnonzero(sums)
+        hit = hit[np.argsort(first[hit])]
+        points = _cell_points(hit if keys is None else keys[hit], lo, strides)
+        weights = sums[hit].tolist()
+        if self._mode == EXACT:
+            den = da * db
+            weights = [Fraction(n, den) for n in weights]
+        return self._with_atoms(dict(zip(points, weights)))
 
     def power(self, n: int) -> "AtomicMeasure":
         """n-fold convolution power; n = 0 gives the unit delta_0."""
@@ -215,7 +344,7 @@ class AtomicMeasure:
         for p, w in self._atoms.items():
             inside = all(lo <= c <= hi for c, (lo, hi) in zip(p, bounds))
             parts[not inside][p] = w
-        return tuple(AtomicMeasure(self._dimension, part, self._mode) for part in parts)
+        return tuple(self._with_atoms(part) for part in parts)
 
     def restrict(self, window) -> "AtomicMeasure":
         """Atoms inside the window, dropped outside."""
@@ -352,16 +481,21 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
         raise ModeMismatch(f"signal mode {f.mode} does not match measure mode {m.mode}")
     if m.is_zero:
         return GridSignal(_zero_array(f.shape, f.mode), f.spacing, f.origin)
-    box = m.bounding_box()
-    lo_m = tuple(b[0] for b in box)
-    hi_m = tuple(b[1] for b in box)
-    f_lo = f.lattice_origin()
-    d = f.dimension
-    shape = tuple(f.shape[ax] + hi_m[ax] - lo_m[ax] for ax in range(d))
-    out = _zero_array(shape, f.mode)
-    for q, w in sorted(m.atoms.items()):
-        sl = tuple(
-            slice(q[ax] - lo_m[ax], q[ax] - lo_m[ax] + f.shape[ax]) for ax in range(d))
-        out[sl] = out[sl] + f.values * w
-    origin = tuple(float(f_lo[ax] + lo_m[ax]) for ax in range(d))
-    return GridSignal(out, f.spacing, origin)
+    points, weights = zip(*sorted(m.atoms.items()))
+    lo_m, hi_m = _box(points)
+    shape = tuple(n + hi - lo for n, lo, hi in zip(f.shape, lo_m, hi_m))
+    strides = _strides(shape)
+    cells = math.prod(shape)
+    dtype = _key_dtype(cells, *lo_m, *hi_m)
+    f_keys = np.zeros(1, dtype=np.int64)
+    for n, stride in zip(f.shape, strides):
+        f_keys = np.add.outer(f_keys, np.arange(n) * stride).ravel()
+    vm, dm = _common_scale(weights, m.mode)
+    vf, df = _common_scale(f.values.ravel(), f.mode)
+    _, sums, _ = _convolve_core(_cell_keys(points, lo_m, strides, dtype), vm, f_keys, vf,
+                                cells, compress=False)
+    if f.mode == EXACT:
+        den = dm * df
+        sums = np.array([Fraction(n, den) for n in sums.tolist()], dtype=object)
+    origin = tuple(float(o + lo) for o, lo in zip(f.lattice_origin(), lo_m))
+    return GridSignal(sums.reshape(shape), f.spacing, origin)

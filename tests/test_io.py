@@ -176,6 +176,14 @@ def test_pgm_errors(tmp_path):
     path.write_bytes(b"P2\n2 2\n10\n1 2 3 11\n")
     with pytest.raises(FormatError, match="maxval"):
         dio.read_pgm(path)
+    path.write_bytes(b"P2\n2 2\n255\n-5 1 2 3\n")
+    with pytest.raises(FormatError, match="negative sample"):
+        dio.read_pgm(path)
+    path.write_bytes(b"P2\n2 2\n255\n5 1 2 3\n")
+    (tmp_path / "img.pgm.meta").write_text(
+        "spacing 0.1 0.1\norigin 0 0\nvmin 0\nvmax 1\nspacing 0.2 0.2\n")
+    with pytest.raises(FormatError, match=r"img\.pgm\.meta:5: repeated key 'spacing'"):
+        dio.read_pgm(path)
 
 
 def test_raw_grid_roundtrip(tmp_path):
@@ -196,6 +204,10 @@ def test_raw_grid_errors(tmp_path):
     (tmp_path / "g.f64.desc").write_text(
         "dtype float64-le\nshape 2\nspacing 1.0\norigin 0.0\n")
     with pytest.raises(FormatError, match="bytes"):
+        dio.read_raw_grid(path)
+    (tmp_path / "g.f64.desc").write_text(
+        "dtype float64-le\nshape 1\nspacing 0.1\nspacing 0.2\norigin 0.0\n")
+    with pytest.raises(FormatError, match=r"g\.f64\.desc:4: repeated key 'spacing'"):
         dio.read_raw_grid(path)
 
 

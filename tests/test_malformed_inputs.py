@@ -46,11 +46,14 @@ CORPUS = {
     "pgm-p2-sample": (PGM, {"in.pgm": b"P2\n2 2\n255\n1 2 x 4\n"}, 2),
     "pgm-p2-count": (PGM, {"in.pgm": b"P2\n2 2\n255\n1 2 3\n"}, 2),
     "pgm-p2-maxval": (PGM, {"in.pgm": b"P2\n2 2\n10\n1 2 3 11\n"}, 2),
+    "pgm-p2-negative": (PGM, {"in.pgm": b"P2\n2 2\n255\n-5 1 2 3\n"}, 2),
     "pgm-p5-truncated": (PGM, {"in.pgm": b"P5\n2 2\n255\nxx"}, 2),
     "pgm-meta-missing-key": (PGM, {"in.pgm": b"P5\n2 2\n255\nabcd",
                                    "in.pgm.meta": "spacing 0.25 0.25\norigin 0 0\n"}, 2),
     "pgm-meta-vmin-nan": (PGM, {"in.pgm": b"P5\n2 2\n255\nabcd",
                                 "in.pgm.meta": META.replace("vmin 0.0", "vmin nan")}, 2),
+    "pgm-meta-repeated-key": (PGM, {"in.pgm": b"P5\n2 2\n255\nabcd",
+                                    "in.pgm.meta": META + "spacing 0.5 0.5\n"}, 2),
     "pgm-meta-spacing-inf": (PGM, {"in.pgm": b"P2\n2 2\n255\n1 2 3 4\n",
                                    "in.pgm.meta": META.replace("0.25 0.25", "inf 0.25")}, 2),
     # raw float64 grid and its descriptor
@@ -65,6 +68,8 @@ CORPUS = {
                                "in.f64.desc": DESC_1D.replace("0.25", "0.25 0.25")}, 2),
     "raw-negative-spacing": (RAW, {"in.f64": ONE * 2,
                                    "in.f64.desc": DESC_1D.replace("0.25", "-0.25")}, 2),
+    "raw-repeated-key": (RAW, {"in.f64": ONE * 2,
+                               "in.f64.desc": DESC_1D + "spacing 0.5\n"}, 2),
     "raw-origin-nan": (RAW, {"in.f64": ONE * 2,
                              "in.f64.desc": DESC_1D.replace("origin 0.0", "origin nan")}, 2),
 }
