@@ -11,11 +11,10 @@ for d in {1, 2}:
   (``fractions.Fraction``) or float64, and modes never mix silently;
 * atoms with weight exactly zero are pruned on construction and after
   every operation;
-* convolution, of two measures or of a measure and a signal, runs on one
-  array core: exact weights enter it, as a rule, as Python-int numerators
-  over one common denominator, and the products of each result are summed
-  in the order the atom-by-atom definition gives, so float results keep
-  their bytes.
+* convolution, of two measures or of a measure and a signal, runs on
+  arrays: exact weights enter as Python-int numerators over one common
+  denominator, and the products of each result are summed in the order
+  the atom-by-atom definition gives, so float results keep their bytes.
 
 Because truncated series are only inverses up to boundary junk, the
 "is an inverse" question is always asked on an explicit window: the
@@ -114,38 +113,31 @@ def _common_scale(weights, mode: str) -> tuple[np.ndarray, int]:
     Float weights stay float64 over 1.  Exact ones become Python-int
     numerators over the lcm of their denominators, the layout FLINT's
     ``fmpq_poly`` uses, so the core multiplies and adds integers and pays
-    for gcds only once per result atom.  When the denominators share too
-    little for that (their lcm outgrows twice the longest of them by more
-    than 1024 bits), products of the scaled numerators would cost more
-    than the gcds they save, and the weights stay ``Fraction``s over 1.
+    for gcds only once per result atom or cell.
     """
     if mode == FLOAT:
         return np.asarray(weights, dtype=np.float64), 1
-    dens = [w.denominator for w in weights]
-    limit = 2 * max(dens).bit_length() + 1024
-    den = 1
-    for d in dens:
-        den = math.lcm(den, d)
-        if den.bit_length() > limit:
-            return np.array(weights, dtype=object), 1
-    return np.array([w.numerator * (den // d) for w, d in zip(weights, dens)], dtype=object), den
+    den = math.lcm(*(w.denominator for w in weights))
+    return np.array([w.numerator * (den // w.denominator) for w in weights], dtype=object), den
 
 
-def _convolve_core(ka, va, kb, vb, cells: int, compress: bool):
-    """Sum ``va[i] * vb[j]`` into cell ``ka[i] + kb[j]`` of a flat result.
+def _convolve_core(ka, va, kb, vb, cells: int):
+    """Sum ``va[i] * vb[j]`` into cell ``ka[i] + kb[j]`` of a box of ``cells`` cells.
 
     The products are added one at a time in (i, j) order onto zeros
     (``np.add.at`` is unbuffered and keeps that order), so every float sum
     is the one an atom-by-atom loop over i, then j, makes.  Returns
-    ``(keys, sums, first)`` over the result's slots: slot k is cell k when
-    ``keys`` is None, and cell ``keys[k]`` when ``compress`` asks for only
-    the cells the products hit; ``first[k]`` is the (i, j)-order index of
-    the first product that lands in slot k.
+    ``(keys, sums, first)`` over the result's slots: slot k is cell
+    ``keys[k]``, and ``first[k]`` is the (i, j)-order index of the first
+    product that lands in it.  A box with few cells per product gets a slot
+    per cell (``keys`` is every cell); a sparser one gets a slot only for
+    each cell the products hit, so widely spaced atoms cost what their
+    count says.
     """
     step = max(1, _PASS_PRODUCTS // len(kb))
     passes = [slice(i, i + step) for i in range(0, len(ka), step)]
     keys = None
-    if compress:
+    if cells > _SPARSE_CELLS * len(ka) * len(kb):
         keys = np.unique(np.concatenate([np.unique(np.add.outer(ka[p], kb)) for p in passes]))
     size = cells if keys is None else len(keys)
     sums = np.zeros(size, dtype=va.dtype)
@@ -157,7 +149,7 @@ def _convolve_core(ka, va, kb, vb, cells: int, compress: bool):
             np.add.at(sums, slot, np.multiply.outer(va[p], vb).ravel())
         start = p.start * len(kb)
         np.minimum.at(first, slot, np.arange(start, start + slot.size))
-    return keys, sums, first
+    return np.arange(cells) if keys is None else keys, sums, first
 
 
 class AtomicMeasure:
@@ -318,10 +310,10 @@ class AtomicMeasure:
         vb, db = _common_scale(wb, self._mode)
         keys, sums, first = _convolve_core(
             _cell_keys(pa, lo_a, strides, dtype), va, _cell_keys(pb, lo_b, strides, dtype), vb,
-            cells, compress=cells > _SPARSE_CELLS * len(pa) * len(pb))
+            cells)
         hit = np.flatnonzero(sums)
         hit = hit[np.argsort(first[hit])]
-        points = _cell_points(hit if keys is None else keys[hit], lo, strides)
+        points = _cell_points(keys[hit], lo, strides)
         weights = sums[hit].tolist()
         if self._mode == EXACT:
             den = da * db
@@ -484,18 +476,17 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
     points, weights = zip(*sorted(m.atoms.items()))
     lo_m, hi_m = _box(points)
     shape = tuple(n + hi - lo for n, lo, hi in zip(f.shape, lo_m, hi_m))
-    strides = _strides(shape)
-    cells = math.prod(shape)
-    dtype = _key_dtype(cells, *lo_m, *hi_m)
-    f_keys = np.zeros(1, dtype=np.int64)
-    for n, stride in zip(f.shape, strides):
-        f_keys = np.add.outer(f_keys, np.arange(n) * stride).ravel()
     vm, dm = _common_scale(weights, m.mode)
     vf, df = _common_scale(f.values.ravel(), f.mode)
-    _, sums, _ = _convolve_core(_cell_keys(points, lo_m, strides, dtype), vm, f_keys, vf,
-                                cells, compress=False)
+    vf = vf.reshape(f.shape)
+    # one shifted copy of the signal per atom, atoms sorted: every float
+    # cell adds its products in that order
+    out = np.zeros(shape, dtype=vf.dtype)
+    for q, w in zip(points, vm.tolist()):
+        out[tuple(slice(c - lo, c - lo + n) for c, lo, n in zip(q, lo_m, f.shape))] += vf * w
     if f.mode == EXACT:
         den = dm * df
-        sums = np.array([Fraction(n, den) for n in sums.tolist()], dtype=object)
+        out = np.array([Fraction(n, den) for n in out.ravel().tolist()], dtype=object)
+        out = out.reshape(shape)
     origin = tuple(float(o + lo) for o, lo in zip(f.lattice_origin(), lo_m))
-    return GridSignal(sums.reshape(shape), f.spacing, origin)
+    return GridSignal(out, f.spacing, origin)

@@ -102,6 +102,17 @@ def test_apply_to_signal_matches_oracle(case):
         grid_view(outcome(oracle.apply_to_signal, f, m))
 
 
+def test_apply_to_signal_adds_float_products_in_sorted_atom_order():
+    """Many atoms overlap on every cell, so any other order of the shifted
+    copies changes some sum's last bits."""
+    rng = np.random.default_rng(8)
+    for shape, point in (((64,), lambda: int(rng.integers(-6, 7))),
+                         ((9, 11), lambda: tuple(rng.integers(-3, 4, 2).tolist()))):
+        f = GridSignal(rng.normal(size=shape), 1.0, (0.0,) * len(shape))
+        m = from_atoms([(point(), w) for w in rng.normal(size=12).tolist()], mode=FLOAT)
+        assert grid_view(apply_to_signal(f, m)) == grid_view(oracle.apply_to_signal(f, m))
+
+
 def test_out_of_order_float_atoms_keep_their_order_and_sums():
     a = from_atoms([(5, 0.1), (0, 0.7), (3, 0.2), (1, 1e-17)], mode=FLOAT)
     b = from_atoms([(1, 0.3), (-1, 0.6), (0, 0.1)], mode=FLOAT)
@@ -133,8 +144,8 @@ def test_products_over_several_passes_match_oracle():
 
 
 def test_unrelated_denominators_match_oracle():
-    """Weights over distinct primes: their lcm is too long to scale to, so the
-    core multiplies Fractions on that side, and ints on the other."""
+    """Weights over distinct primes: the common denominator is the product of
+    all of them, so the numerators are long ints."""
     primes = [n for n in range(1000, 3000) if all(n % k for k in range(2, 55))][:150]
     a = from_atoms({i: Fraction(i % 7 - 3 or 1, q) for i, q in enumerate(primes)})
     b = from_atoms({-i: Fraction(2, q) for i, q in enumerate(reversed(primes))})
