@@ -7,7 +7,8 @@ rerun with identical arguments and inputs produces identical bytes.
 
 Exit codes: 0 success (for verify: inverse confirmed), 1 verify found a
 residual above tolerance, 2 parse or usage trouble, 3 dimension or mode
-mismatch, 4 violated precondition, 5 insufficient truncation margin.
+mismatch, 4 violated precondition or a float result past float64 (inf or
+NaN), 5 insufficient truncation margin.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .errors import (
     GridTooNarrow,
     InsufficientTruncation,
     ModeMismatch,
+    NonFiniteResult,
     NormNotLessThanOne,
     OrderCapExceeded,
     ParameterOutOfRange,
@@ -44,11 +46,10 @@ from .grids import EXACT, FLOAT, GridSignal
 from .measures import (
     AtomicMeasure,
     apply_to_signal,
-    dirac,
     from_atoms,
     is_inverse,
 )
-from .neumann import NeumannConfig, neumann_inverse, van_cittert_deblur
+from .neumann import NeumannConfig, neumann, van_cittert_deblur
 from .onesided import (
     Side,
     _require_margin,
@@ -56,12 +57,13 @@ from .onesided import (
     binomial_kernel,
     growth_table,
     half_pair_inverse,
-    pair_kernel,
     perturbation_response,
     recognize_kernel,
-    unit_pair_inverse,
+    series_inverse,
+    symmetric_inverse,
 )
 
+_FAMILIES = {"binomial": ("binomial", 0), "halfpair": ("pair", 1)}  # (family, step)
 _SPECTRAL_METHODS = {
     "reciprocal": "discrete-reciprocal",
     "analytic": "analytic-amplifier",
@@ -116,18 +118,6 @@ def _usage(message: str) -> int:
     return 2
 
 
-def _parse_tol(text: str | None, mode: str):
-    if text is None:
-        return None
-    return dio.parse_weight(text, mode)
-
-
-def _reciprocal(value, mode: str):
-    if mode == EXACT:
-        return Fraction(1, 1) / Fraction(value)
-    return 1.0 / float(value)
-
-
 def _apply_on_window(g: GridSignal, measure: AtomicMeasure, lo: int, hi: int) -> GridSignal:
     """``apply_to_signal(g, measure).restrict((lo, hi))``, reading only the rows
     the window needs: [lo - max atom, hi - min atom], within the input."""
@@ -164,22 +154,14 @@ def _cmd_invert(args) -> int:
         "kernel": args.kernel,
     }
     if args.method == "neumann":
-        origin = (0,) * kernel.dimension
-        center = kernel.atoms.get(origin)
-        if center is None:
-            raise UnsupportedKernel(
-                "series inversion needs a kernel with weight at the origin")
-        mu = (kernel - dirac(origin, center, mode=mode)).scale(
-            _reciprocal(center, mode))
         if args.N is not None:
             config = NeumannConfig(order=args.N, max_order=max(args.max_order, args.N))
             settings.update(order=args.N, max_order=config.max_order)
         else:
-            tol = _parse_tol("1e-9" if args.tol is None else args.tol, mode)
+            tol = dio.parse_weight(args.tol, mode)
             config = NeumannConfig(residual_target=tol, max_order=args.max_order)
             settings.update(residual_target=tol, max_order=args.max_order)
-        nu, report = neumann_inverse(mu, config)
-        result = nu.scale(_reciprocal(center, mode))
+        result, report = neumann(kernel, config)
         summary = (f"method=neumann order={report.order}"
                    f" norm={dio.format_weight(report.mu_norm)}"
                    f" bound={dio.format_weight(report.bound)}")
@@ -187,20 +169,20 @@ def _cmd_invert(args) -> int:
         if args.N is None:
             return _usage(f"--N is required for method {args.method}")
         settings.update(N=args.N)
-        family, scale, step = recognize_kernel(kernel)
-        if args.method == "onesided" and family == "pair":
-            side = Side.LEFT if args.side == "left" else Side.RIGHT
+        if kernel.is_zero:
+            raise UnsupportedKernel("the zero kernel has no inverse")
+        # divide, not multiply by 1/lead: 49 * fl(1/49) != 1 would spoil a float unit kernel
+        lead = kernel.atoms[min(kernel.atoms)]
+        unit = from_atoms({p: w / lead for p, w in kernel.atoms.items()}, mode=mode)
+        if args.method == "onesided":
             settings.update(side=args.side)
-            series = unit_pair_inverse(pair_kernel(step, mode=mode), side, args.N)
-        elif args.method == "binomial" and family == "binomial":
-            series = binomial_inverse(args.N, mode=mode)
-        elif args.method == "halfpair" and (family, step) == ("pair", 1):
-            series = half_pair_inverse(args.N, mode=mode)
-            scale = 2 * scale  # the series inverts (d0 + d1) / 2
+            series = series_inverse(unit, Side(args.side), args.N)
+        elif recognize_kernel(unit)[::2] == _FAMILIES[args.method]:
+            series = symmetric_inverse(unit, args.N)
         else:
             raise UnsupportedKernel(
                 f"method {args.method} cannot invert atoms {sorted(kernel.atoms.items())}")
-        result = series.measure.scale(_reciprocal(scale, mode))
+        result = series.measure.scale(1 / lead)
         summary = (f"method={args.method} halfwidth={series.halfwidth}"
                    f" boundary_distance={series.boundary_distance()}")
     dio.write_measure(args.output, result, _echo(settings))
@@ -232,8 +214,7 @@ def _cmd_deblur(args) -> int:
         half = (1 - av) / (2 * av)
         mu = from_atoms({(-1,): half, (1,): half}, mode=args.mode) \
             if half else AtomicMeasure(1, {}, args.mode)
-        iterates = van_cittert_deblur(g.scaled(_reciprocal(av, args.mode)),
-                                      mu, args.iterations)
+        iterates = van_cittert_deblur(g.scaled(1 / av), mu, args.iterations)
         out = iterates[-1]
         settings.update(a=args.a, iterations=args.iterations, mode=args.mode)
         params = f"a={args.a};iterations={args.iterations}"
@@ -291,10 +272,11 @@ def _cmd_experiment(args) -> int:
         rows = [(str(n), str(peak)) for n, peak in growth_table(ns)]
         columns = ("N", "max_abs_coefficient")
     elif name == "noise-lateral":
-        window = args.window or (-3, 3)
+        if len(args.sigma or ()) > 1:
+            return _usage("experiment noise-lateral takes one --sigma")
         sigma = (args.sigma or ["0.001"])[0]
-        eps = Fraction(sigma)
-        lo, hi = window
+        eps = dio.parse_weight(sigma, EXACT)
+        lo, hi = args.window or (-3, 3)
         rng = np.random.default_rng(args.seed)
         draws = rng.integers(-9, 10, size=hi - lo + 1)
         f = GridSignal.from_lattice_dict(
@@ -311,7 +293,7 @@ def _cmd_experiment(args) -> int:
                          dio.format_weight(rep.predicted_deviation)))
         columns = ("N", "margin", "max_dev", "predicted_dev")
     elif name == "noise-gaussian":
-        sigmas = [float(Fraction(s)) for s in (args.sigma or ["1e-12"])]
+        sigmas = [dio.parse_weight(s, FLOAT) for s in (args.sigma or ["1e-12"])]
         bands = args.band_limit or [4.0, 8.0]
         settings.update(seed=args.seed, sigma=sigmas, band_limit=bands)
         f = two_bump_signal()
@@ -336,7 +318,8 @@ def _cmd_verify(args) -> int:
     mode = args.mode
     kernel = dio.read_measure(args.kernel, mode)
     candidate = dio.read_measure(args.inverse, mode)
-    report = is_inverse(kernel, candidate, args.window, _parse_tol(args.tol, mode))
+    tol = None if args.tol is None else dio.parse_weight(args.tol, mode)
+    report = is_inverse(kernel, candidate, args.window, tol)
     print(f"ok={str(report.ok).lower()}"
           f" max_inside={dio.format_weight(report.max_inside)}"
           f" residual_atoms={len(report.residual)}"
@@ -383,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("neumann", "onesided", "binomial", "halfpair"))
     p.add_argument("--N", type=int, default=None,
                    help="series order / halfwidth / term count")
-    p.add_argument("--tol", default=None,
+    p.add_argument("--tol", default="1e-9",
                    help="residual bound target for neumann (default 1e-9)")
     p.add_argument("--max-order", type=int, default=256)
     p.add_argument("--side", choices=("right", "left"), default="right",
@@ -465,7 +448,7 @@ def main(argv=None) -> int:
         return _fail(5, exc)
     except (ParameterOutOfRange, NormNotLessThanOne, UnsupportedKernel,
             OrderCapExceeded, GridTooCoarse, GridTooNarrow,
-            ReciprocalUnderflow) as exc:
+            ReciprocalUnderflow, NonFiniteResult) as exc:
         return _fail(4, exc)
     except OSError as exc:
         return _fail(2, exc)

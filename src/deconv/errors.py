@@ -51,6 +51,10 @@ class OrderCapExceeded(DeconvError):
         )
 
 
+class NonFiniteResult(DeconvError):
+    """A float64 measure came out holding inf or NaN, e.g. from an overflowing product."""
+
+
 class ParameterOutOfRange(DeconvError):
     """A kernel or series parameter lies outside its admissible range."""
 

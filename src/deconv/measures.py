@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModeMismatch
+from .errors import DimensionMismatch, ModeMismatch, NonFiniteResult
 from .grids import EXACT, FLOAT, GridSignal, _window_bounds, _zero_array
 
 Point = tuple[int, ...]
@@ -67,6 +67,15 @@ def coerce_weight(value, mode: str) -> Weight:
     if mode == FLOAT:
         return float(value)
     raise ValueError(f"unknown arithmetic mode {mode!r}")
+
+
+def _pruned(store: dict, mode: str) -> dict:
+    """The atoms of nonzero weight; in float mode every weight must be finite."""
+    store = {p: w for p, w in store.items() if w != 0}
+    if mode == FLOAT and not np.isfinite(np.fromiter(store.values(), float, len(store))).all():
+        p = next(p for p, w in store.items() if not math.isfinite(w))
+        raise NonFiniteResult(f"float weight {store[p]!r} at {p} is past float64's range")
+    return store
 
 
 # --- the convolution core ------------------------------------------------
@@ -176,7 +185,7 @@ class AtomicMeasure:
                     store[pt] = store[pt] + wv
                 else:
                     store[pt] = wv
-            store = {p: w for p, w in store.items() if w != 0}
+            store = _pruned(store, mode)
         self._dimension = dimension
         self._mode = mode
         self._atoms = store
@@ -251,12 +260,12 @@ class AtomicMeasure:
 
         The results of the algebra below have valid points and weights by
         construction, so they skip the public constructor's per-atom checks;
-        only the zero weights are pruned here.
+        only the zero weights are pruned, and float ones checked finite, here.
         """
         out = AtomicMeasure.__new__(AtomicMeasure)
         out._dimension = self._dimension
         out._mode = self._mode
-        out._atoms = {p: w for p, w in store.items() if w != 0}
+        out._atoms = _pruned(store, self._mode)
         return out
 
     def __add__(self, other):

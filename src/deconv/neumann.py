@@ -21,9 +21,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NormNotLessThanOne, OrderCapExceeded, ParameterOutOfRange
+from .errors import NormNotLessThanOne, OrderCapExceeded, ParameterOutOfRange, UnsupportedKernel
 from .grids import EXACT, GridSignal
-from .measures import AtomicMeasure, apply_to_signal, coerce_weight, from_atoms
+from .measures import AtomicMeasure, apply_to_signal, coerce_weight, dirac, from_atoms
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,17 @@ def neumann_inverse(mu: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMea
     )
 
 
+def neumann(kernel: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMeasure, NeumannReport]:
+    """Inverse of a kernel ``c (delta_0 + mu)``: :func:`neumann_inverse` of mu, over c."""
+    origin = (0,) * kernel.dimension
+    center = kernel.atoms.get(origin)
+    if center is None:
+        raise UnsupportedKernel("series inversion needs a kernel with weight at the origin")
+    mu = (kernel - dirac(origin, center, mode=kernel.mode)).scale(1 / center)
+    nu, report = neumann_inverse(mu, config)
+    return nu.scale(1 / center), report
+
+
 def three_point_kernel(a, *, mode: str = EXACT) -> AtomicMeasure:
     """The symmetric kernel (1-a)/2 delta_{-1} + a delta_0 + (1-a)/2 delta_1."""
     av = coerce_weight(a, mode)
@@ -124,7 +135,7 @@ def three_point_kernel(a, *, mode: str = EXACT) -> AtomicMeasure:
 def invert_three_point(a, config: NeumannConfig, *, mode: str = EXACT) -> tuple[AtomicMeasure, NeumannReport]:
     """Series inverse of the three-point kernel for a in (1/2, 1).
 
-    The kernel factors as ``a * (delta_0 + mu)`` with
+    The kernel factors as ``a * (delta_0 + mu)`` (see :func:`neumann`) with
     ``mu = (1-a)/(2a) (delta_{-1} + delta_1)``, so ``tv(mu) = (1-a)/a < 1``
     exactly when a > 1/2.  At a = 1/2 the norm hits one and no summable
     two-sided inverse exists; the one-sided series in the ``onesided``
@@ -134,10 +145,7 @@ def invert_three_point(a, config: NeumannConfig, *, mode: str = EXACT) -> tuple[
     if not (av > Fraction(1, 2) if mode == EXACT else av > 0.5) or not av < 1:
         raise ParameterOutOfRange(
             f"a={a!r} is outside (1/2, 1); at a=1/2 use the one-sided series instead")
-    c = (1 - av) / (2 * av)
-    mu = from_atoms({-1: c, 1: c}, mode=mode)
-    nu, report = neumann_inverse(mu, config)
-    return nu.scale(1 / av), report
+    return neumann(three_point_kernel(av, mode=mode), config)
 
 
 def van_cittert_deblur(g: GridSignal, mu: AtomicMeasure, iterations: int) -> list[GridSignal]:

@@ -1,32 +1,26 @@
 """One-sided and growing-coefficient inverses on the integer line.
 
-The kernels ``delta_0 + delta_1`` and ``delta_{-1} + delta_0`` have no
-summable inverse, but each admits two formal alternating series
-inverses, one supported to the right and one to the left:
-
-    right of delta_0 + delta_1 :  delta_0 - delta_1 + delta_2 - ...
-    left  of delta_0 + delta_1 :  delta_{-1} - delta_{-2} + delta_{-3} - ...
-    right of delta_{-1}+delta_0:  delta_1 - delta_2 + delta_3 - ...
-    left  of delta_{-1}+delta_0:  delta_0 - delta_{-1} + delta_{-2} - ...
-
-Truncations of these series annihilate the kernel everywhere except at a
-few boundary atoms near the truncation edge.  Multiplying a right series
-by a right series of the complementary kernel (a Cauchy product) yields a
-truncated inverse of the binomial smoothing kernel
-``1/4 delta_{-1} + 1/2 delta_0 + 1/4 delta_1`` whose interior
-coefficients grow linearly: the two-sided inverse has weight
-``2|n| (-1)^(|n|+1)`` at position n.  That growth is the whole story of
+Every nonzero finite kernel p on Z has two formal inverses, found by
+power-series division by its end atom: a right series, supported from
+minus p's lowest atom position rightward, and a left one, supported from
+minus its highest leftward.  ``series_inverse`` truncates either, e.g.
+``delta_0 - delta_1 + delta_2 - ...`` for ``delta_0 + delta_1``.  Their
+mean is another inverse, ``symmetric_inverse``; for the binomial kernel
+``1/4 delta_{-1} + 1/2 delta_0 + 1/4 delta_1`` it has weight
+``2|n| (-1)^(|n|+1)`` at n, and that linear growth is the whole story of
 the noise sensitivity quantified by ``perturbation_response``.
 
 Everything here defaults to exact rational arithmetic so that "equals"
-means equals.  A ``TruncatedSeries`` records, next to the measure itself,
-the kernel it targets and the boundary atoms where the product
-``kernel * series - delta_0`` is allowed to be nonzero; the boundary is
-computed by carrying out the convolution, never assumed.
+means equals; the series of a float kernel is its exact series, rounded
+once.  A ``TruncatedSeries`` records, next to the measure itself, the
+kernel it targets and the boundary atoms where ``kernel * series -
+delta_0`` is nonzero; the boundary is computed by carrying out the
+convolution.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,29 +136,81 @@ def recognize_kernel(measure: AtomicMeasure) -> tuple[str, object, int]:
         f"got atoms {sorted(measure.atoms.items())}")
 
 
-def unit_pair_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> TruncatedSeries:
-    """First ``terms`` atoms of the one-sided inverse series of a unit pair kernel."""
-    if terms < 1:
-        raise ParameterOutOfRange("a truncated series needs at least one term")
+def _ends(kernel: AtomicMeasure) -> tuple[int, int]:
+    """Lowest and highest atom position of a nonzero 1D kernel."""
     if kernel.dimension != 1:
         raise DimensionMismatch("one-sided series are one-dimensional")
-    family, scale, step = recognize_kernel(kernel)
-    if family != "pair" or scale != 1:
-        raise UnsupportedKernel(
-            f"expected delta_0 + delta_1 or delta_{{-1}} + delta_0, got a {family} "
-            f"kernel of scale {scale}")
-    mode = kernel.mode
-    if step == 1 and side is Side.RIGHT:
-        atoms = {k: (-1) ** k for k in range(terms)}
-    elif step == 1 and side is Side.LEFT:
-        atoms = {-k: (-1) ** (k + 1) for k in range(1, terms + 1)}
-    elif step == -1 and side is Side.RIGHT:
-        atoms = {k: (-1) ** (k + 1) for k in range(1, terms + 1)}
+    if kernel.is_zero:
+        raise UnsupportedKernel("the zero kernel has no inverse")
+    return kernel.bounding_box()[0]
+
+
+def _float_quotient(num: int, den: int) -> float:
+    """num / den correctly rounded, +-inf past float64 (which measures refuse)."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
+
+
+def _end_series(kernel: AtomicMeasure, side: Side, terms: int, parts: int = 1,
+                skip: int = 0) -> dict:
+    """Atoms ``skip`` .. ``terms - 1`` of the ``side`` inverse of a 1D kernel, over ``parts``.
+
+    Power-series division by the end atom on that side, on Python ints: with
+    the weight at distance i from that end ``A_i / D`` (FLINT's ``fmpq_poly``
+    layout), coefficient k is ``E_k D / A_0^(k+1)``, where ``E_0 = 1`` and
+    ``E_k = -sum_{i>=1} A_i A_0^(i-1) E_{k-i}``."""
+    lo, hi = _ends(kernel)
+    end, step = (lo, 1) if side is Side.RIGHT else (hi, -1)
+    ratios = {abs(p - end): w.as_integer_ratio() for (p,), w in kernel.atoms.items()}
+    den = math.lcm(*(d for _, d in ratios.values()))
+    nums = {i: n * (den // d) for i, (n, d) in ratios.items()}
+    a0 = nums.pop(0)
+    taps = [(i, a * a0 ** (i - 1)) for i, a in nums.items() if i < terms]
+    quotient = Fraction if kernel.mode == EXACT else _float_quotient
+    atoms, coeffs, power = {}, [], parts * a0
+    for k in range(terms):
+        e = 1 if k == 0 else 0
+        for i, t in taps:
+            if i <= k:
+                e -= t * coeffs[k - i]
+        coeffs.append(e)
+        if k >= skip:
+            atoms[(step * k - end,)] = quotient(e * den, power)
+        power *= a0
+    return atoms
+
+
+def series_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> TruncatedSeries:
+    """First ``terms`` atoms of the right or left formal inverse of a nonzero 1D kernel."""
+    if terms < 1:
+        raise ParameterOutOfRange("a truncated series needs at least one term")
+    atoms = _end_series(kernel, side, terms)
+    return _finish(kernel._with_atoms(atoms), kernel, WindowSpec((min(atoms)[0], max(atoms)[0])))
+
+
+def symmetric_inverse(kernel: AtomicMeasure, halfwidth: int) -> TruncatedSeries:
+    """Mean of the right and left series of a nonzero 1D kernel, on [-halfwidth, halfwidth]."""
+    if halfwidth < 1:
+        raise ParameterOutOfRange("halfwidth must be >= 1")
+    lo, hi = _ends(kernel)
+    # each series is kept from where it enters [-halfwidth, halfwidth]; a one-atom
+    # kernel's two series are the same atom, which is then their mean
+    if lo == hi:
+        atoms = _end_series(kernel, Side.RIGHT, halfwidth + lo + 1, 1, lo - halfwidth)
     else:
-        atoms = {-k: (-1) ** k for k in range(terms)}
-    lo, hi = min(atoms), max(atoms)
-    measure = from_atoms(atoms, mode=mode)
-    return _finish(measure, kernel, WindowSpec((lo, hi)))
+        atoms = _end_series(kernel, Side.RIGHT, halfwidth + lo + 1, 2, lo - halfwidth)
+        atoms.update(_end_series(kernel, Side.LEFT, halfwidth - hi + 1, 2, -halfwidth - hi))
+    return _finish(kernel._with_atoms(atoms), kernel, WindowSpec((-halfwidth, halfwidth)))
+
+
+def unit_pair_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> TruncatedSeries:
+    """First ``terms`` atoms of the one-sided inverse series of a unit pair kernel."""
+    if kernel.dimension == 1 and recognize_kernel(kernel)[:2] != ("pair", 1):
+        raise UnsupportedKernel("expected delta_0 + delta_1 or delta_{-1} + delta_0, "
+                                f"got atoms {sorted(kernel.atoms.items())}")
+    return series_inverse(kernel, side, terms)
 
 
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -188,16 +234,7 @@ def binomial_inverse(halfwidth: int, *, mode: str = EXACT) -> TruncatedSeries:
     [-halfwidth, halfwidth]; the weight at the origin is zero.  The
     largest coefficient magnitude is therefore exactly ``2 * halfwidth``.
     """
-    if halfwidth < 1:
-        raise ParameterOutOfRange("halfwidth must be >= 1")
-    atoms = {}
-    for n in range(1, halfwidth + 1):
-        w = 2 * n * (-1) ** (n + 1)
-        atoms[n] = w
-        atoms[-n] = w
-    measure = from_atoms(atoms, mode=mode)
-    return _finish(measure, binomial_kernel(mode=mode),
-                   WindowSpec((-halfwidth, halfwidth)))
+    return symmetric_inverse(binomial_kernel(mode=mode), halfwidth)
 
 
 def half_pair_inverse(halfwidth: int, *, mode: str = EXACT) -> TruncatedSeries:
@@ -208,14 +245,7 @@ def half_pair_inverse(halfwidth: int, *, mode: str = EXACT) -> TruncatedSeries:
     grow either, so a single-sample perturbation of size eps moves the
     reconstruction by at most eps.
     """
-    if halfwidth < 1:
-        raise ParameterOutOfRange("halfwidth must be >= 1")
-    atoms = {}
-    for n in range(-halfwidth, halfwidth + 1):
-        atoms[n] = (-1) ** n if n >= 0 else (-1) ** (n + 1)
-    measure = from_atoms(atoms, mode=mode)
-    return _finish(measure, half_pair_kernel(mode=mode),
-                   WindowSpec((-halfwidth, halfwidth)))
+    return symmetric_inverse(half_pair_kernel(mode=mode), halfwidth)
 
 
 # --- reconstruction and its failure modes ---------------------------------

@@ -122,6 +122,34 @@ def test_invert_series_methods_scale_kernels(tmp_path):
     assert residual.restrict((-4, 5)).is_zero
 
 
+@pytest.mark.parametrize("mode", [EXACT, "float"])
+@pytest.mark.parametrize("side, reach", [("right", (0, 11)), ("left", (-11, 0))])
+def test_invert_onesided_takes_any_1d_kernel(tmp_path, mode, side, reach):
+    kernel = tmp_path / "k.txt"
+    kernel.write_text("-1 1/5\n0 1/2\n2 3/10\n")
+    inv = tmp_path / "inv.txt"
+    assert main(["invert", str(kernel), "-o", str(inv), "--method", "onesided",
+                 "--N", "12", "--side", side, "--mode", mode]) == 0
+    if mode == EXACT:   # 12 terms make the product exactly delta_0 on 12 positions
+        lo, hi = reach
+        assert main(["verify", str(kernel), str(inv), "--window", f"{lo}:{hi}"]) == 0
+        wider = f"{lo}:{hi + 1}" if side == "right" else f"{lo - 1}:{hi}"
+        assert main(["verify", str(kernel), str(inv), "--window", wider]) == 1
+
+
+def test_invert_float_pair_scaled_by_49_is_the_unit_series_over_49(tmp_path, capsys):
+    # the kernel is divided by its lead atom: multiplied by fl(1/49) it would not
+    # be the unit pair, and its series' float boundary would move
+    assert 49 * (1 / 49) != 1
+    kernel = tmp_path / "k.txt"
+    kernel.write_text("0 49\n1 49\n")
+    out = tmp_path / "o.txt"
+    assert main(["invert", str(kernel), "-o", str(out), "--method", "onesided",
+                 "--N", "9", "--mode", "float"]) == 0
+    assert "boundary_distance=9" in capsys.readouterr().out
+    assert _rows(out) == [f"{k} {(-1) ** k * (1 / 49)!r}" for k in range(9)]
+
+
 def test_file_errors_map_to_exit_codes(tmp_path, three_point_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3 4 5\n")
@@ -142,6 +170,30 @@ def test_convolve_rejects_non_finite_float_weights(tmp_path, token):
     out = tmp_path / "o.txt"
     assert main(["convolve", str(lhs), str(rhs), "-o", str(out), "--mode", "float"]) == 2
     assert not out.exists()
+
+
+def test_convolve_refuses_a_float_product_that_overflows(tmp_path, capsys):
+    # finite weights whose products leave float64: inf is refused, not written
+    m = tmp_path / "m.txt"
+    m.write_text("0 1e200\n1 -1e200\n")
+    out = tmp_path / "o.txt"
+    assert main(["convolve", str(m), str(m), "-o", str(out), "--mode", "float"]) == 4
+    assert not out.exists()
+    assert "inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_invert_onesided_float_series_that_overflows_is_refused(tmp_path, side):
+    kernel = tmp_path / "k.txt"
+    kernel.write_text("0 1e-300\n1 1\n")
+    out = tmp_path / "o.txt"
+    code = main(["invert", str(kernel), "-o", str(out), "--method", "onesided",
+                 "--N", "6", "--side", side, "--mode", "float"])
+    if side == "right":   # the normalised kernel (1, 1e300) has series (-1e300)^k
+        assert code == 4
+        assert not out.exists()
+    else:                 # the left series decays: 1e-300^k underflows to 0
+        assert code == 0
 
 
 def test_deblur_vancittert_recovers_signal(tmp_path, capsys):
@@ -275,6 +327,23 @@ def test_experiment_noise_lateral_csv(tmp_path):
     assert first[0] == "10"
     assert int(first[1]) >= 10 - 4  # margin = N - 2s with s <= 2
     assert Fraction(first[2]) == Fraction(first[3]) == 2 * 10 * Fraction(1, 100)
+
+
+def test_experiment_noise_lateral_takes_one_sigma(tmp_path, capsys):
+    out = tmp_path / "nl.csv"
+    assert main(["experiment", "noise-lateral", "-o", str(out),
+                 "--sigma", "0.1", "--sigma", "0.2"]) == 2
+    assert not out.exists()
+    assert "one --sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["noise-lateral", "noise-gaussian"])
+def test_experiment_non_numeric_sigma_is_a_format_error(tmp_path, capsys, name):
+    out = tmp_path / "x.csv"
+    assert main(["experiment", name, "-o", str(out), "--sigma", "abc",
+                 "--n-from", "10", "--n-to", "10"]) == 2
+    assert not out.exists()
+    assert "bad weight 'abc'" in capsys.readouterr().err
 
 
 def test_experiment_noise_gaussian_csv(tmp_path):

@@ -29,6 +29,8 @@ CORPUS = {
     "measure-mixed-dimension": (MEASURE, {"in.txt": "0 1\n0 0 1\n"}, 2),
     "measure-float-overflow": (MEASURE + ["--mode", "float"], {"in.txt": "0 1e400\n"}, 2),
     "measure-missing": (MEASURE, {}, 2),
+    "measure-float-product-overflow": (MEASURE + ["--mode", "float"],
+                                       {"in.txt": "0 1e200\n1 -1e200\n"}, 4),
     # CSV on the lattice
     "index-header": (INDEX_CSV, {"in.csv": "i,v\n0,1\n"}, 2),
     "index-no-rows": (INDEX_CSV, {"in.csv": "index,value\n"}, 2),
