@@ -49,7 +49,13 @@ from .measures import (
     from_atoms,
     is_inverse,
 )
-from .neumann import NeumannConfig, neumann, van_cittert_deblur
+from .neumann import (
+    NeumannConfig,
+    factor_at_origin,
+    neumann,
+    three_point_kernel,
+    van_cittert_deblur,
+)
 from .onesided import (
     Side,
     _require_margin,
@@ -137,12 +143,13 @@ def _cmd_convolve(args) -> int:
     lhs = dio.read_measure(args.lhs, args.mode)
     rhs = dio.read_measure(args.rhs, args.mode)
     out = lhs.convolve(rhs)
+    tv = out.total_variation()  # before writing: a float tv past float64 is refused
     header = _echo({
         "command": "convolve", "mode": args.mode,
         "lhs": args.lhs, "rhs": args.rhs,
     })
     dio.write_measure(args.output, out, header)
-    print(f"atoms={len(out)} tv={dio.format_weight(out.total_variation())}")
+    print(f"atoms={len(out)} tv={dio.format_weight(tv)}")
     return 0
 
 
@@ -208,13 +215,9 @@ def _cmd_deblur(args) -> int:
         if args.a is None:
             return _usage("--a is required for method vancittert")
         g = dio.read_signal_csv(args.input, args.mode)
-        av = dio.parse_weight(args.a, args.mode)
-        if not 0 < av <= 1:
-            raise ParameterOutOfRange(f"a must lie in (0, 1], got {args.a}")
-        half = (1 - av) / (2 * av)
-        mu = from_atoms({(-1,): half, (1,): half}, mode=args.mode) \
-            if half else AtomicMeasure(1, {}, args.mode)
-        iterates = van_cittert_deblur(g.scaled(1 / av), mu, args.iterations)
+        kernel = three_point_kernel(dio.parse_weight(args.a, args.mode), mode=args.mode)
+        center, mu = factor_at_origin(kernel)
+        iterates = van_cittert_deblur(g.scaled(1 / center), mu, args.iterations)
         out = iterates[-1]
         settings.update(a=args.a, iterations=args.iterations, mode=args.mode)
         params = f"a={args.a};iterations={args.iterations}"

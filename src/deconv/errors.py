@@ -51,8 +51,8 @@ class OrderCapExceeded(DeconvError):
         )
 
 
-class NonFiniteResult(DeconvError):
-    """A float64 measure came out holding inf or NaN, e.g. from an overflowing product."""
+class NonFiniteResult(DeconvError, ValueError):
+    """A float64 measure or signal would hold inf or NaN, e.g. from an overflowing product."""
 
 
 class ParameterOutOfRange(DeconvError):

@@ -9,9 +9,10 @@ exist, mirroring the measure algebra:
   bit-exact reconstruction work on the integer lattice (spacing 1, integer
   origin).
 
-Signals are treated as immutable: the backing array is copied on
-construction and marked read-only.  An exact signal holds only
-``Fraction`` values; integers are carried in as ``Fraction``.
+Signals are immutable: the public constructor copies the caller's array,
+a result the library computes owns the array made for it, and both are
+read-only.  An exact signal holds only ``Fraction`` values (integers are
+carried in as ``Fraction``); a float one holds no inf or NaN.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModeMismatch
+from .errors import DimensionMismatch, ModeMismatch, NonFiniteResult
 
 EXACT = "exact"
 FLOAT = "float"
@@ -63,6 +64,21 @@ def _zero_array(shape, mode: str) -> np.ndarray:
     return arr
 
 
+def _placed(values: np.ndarray, offset, shape) -> np.ndarray:
+    """Zeros of ``shape`` in the arithmetic of ``values``, with ``values``
+    pasted at the integer ``offset`` and clipped to the box."""
+    out = _zero_array(shape, EXACT if values.dtype == object else FLOAT)
+    src, dst = [], []
+    for off, n, size in zip(offset, values.shape, shape):
+        a, b = max(off, 0), min(off + n, size)
+        if a >= b:
+            return out
+        src.append(slice(a - off, b - off))
+        dst.append(slice(a, b))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
 @dataclass(frozen=True)
 class GridSignal:
     """Dense samples on a regular grid.
@@ -84,20 +100,31 @@ class GridSignal:
 
     def __post_init__(self):
         raw = np.asarray(self.values)
-        if raw.ndim not in (1, 2):
-            raise DimensionMismatch(f"signals must be 1D or 2D, got {raw.ndim}D")
         if raw.dtype == object:
             arr = _as_exact(raw)
         else:
             if np.iscomplexobj(raw):
                 raise ValueError("signals are real; take .real explicitly before building one")
             arr = raw.astype(np.float64, copy=True)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("signal samples must be finite")
+        self._adopt(arr, self.spacing, self.origin)
+
+    @classmethod
+    def _own(cls, values: np.ndarray, spacing, origin) -> "GridSignal":
+        """A signal that takes over an array only the library holds: no copy
+        and no per-sample conversion, the shape and finiteness checks kept."""
+        out = object.__new__(cls)
+        out._adopt(values, spacing, origin)
+        return out
+
+    def _adopt(self, arr: np.ndarray, spacing, origin) -> None:
+        if np.ndim(arr) not in (1, 2):  # np.ndim: a 0-d object array converts to a scalar
+            raise DimensionMismatch(f"signals must be 1D or 2D, got {np.ndim(arr)}D")
+        if arr.dtype != object and not np.isfinite(arr).all():
+            raise NonFiniteResult("signal samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "spacing", _as_tuple(self.spacing, arr.ndim, "spacing"))
-        object.__setattr__(self, "origin", _as_tuple(self.origin, arr.ndim, "origin"))
+        object.__setattr__(self, "spacing", _as_tuple(spacing, arr.ndim, "spacing"))
+        object.__setattr__(self, "origin", _as_tuple(origin, arr.ndim, "origin"))
         if any(s <= 0 for s in self.spacing):
             raise ValueError("spacing must be positive")
 
@@ -173,7 +200,7 @@ class GridSignal:
         mask = self._nonzero_mask()
         if not mask.any():
             idx = tuple(slice(0, 1) for _ in range(self.dimension))
-            return GridSignal(self.values[idx], self.spacing, self.origin)
+            return GridSignal._own(self.values[idx], self.spacing, self.origin)
         slices = []
         new_origin = []
         for ax in range(self.dimension):
@@ -183,26 +210,15 @@ class GridSignal:
             lo, hi = int(hits[0]), int(hits[-1])
             slices.append(slice(lo, hi + 1))
             new_origin.append(self.origin[ax] + self.spacing[ax] * lo)
-        return GridSignal(self.values[tuple(slices)], self.spacing, tuple(new_origin))
+        return GridSignal._own(self.values[tuple(slices)], self.spacing, tuple(new_origin))
 
     def restrict(self, bounds) -> "GridSignal":
         """Dense copy over an explicit lattice window, zero-filled where absent."""
         win = _window_bounds(bounds, self.dimension)
-        lo = self.lattice_origin()
-        out = _zero_array(tuple(hi_w - lo_w + 1 for lo_w, hi_w in win), self.mode)
-        src = []
-        dst = []
-        for ax, (lo_w, hi_w) in enumerate(win):
-            a = max(lo_w, lo[ax])
-            b = min(hi_w, lo[ax] + self.shape[ax] - 1)
-            if a > b:
-                src = None
-                break
-            src.append(slice(a - lo[ax], b - lo[ax] + 1))
-            dst.append(slice(a - lo_w, b - lo_w + 1))
-        if src is not None:
-            out[tuple(dst)] = self.values[tuple(src)]
-        return GridSignal(out, self.spacing, tuple(float(lo_w) for lo_w, _ in win))
+        offset = tuple(lo - lo_w for lo, (lo_w, _) in zip(self.lattice_origin(), win))
+        shape = tuple(hi_w - lo_w + 1 for lo_w, hi_w in win)
+        return GridSignal._own(_placed(self.values, offset, shape), self.spacing,
+                               tuple(float(lo_w) for lo_w, _ in win))
 
     # --- arithmetic ----------------------------------------------------
 
@@ -230,19 +246,14 @@ class GridSignal:
             for ax in range(self.dimension)
         )
         shape = tuple(hi[ax] - lo[ax] + 1 for ax in range(self.dimension))
-        a = _zero_array(shape, self.mode)
-        b = _zero_array(shape, self.mode)
-        sl_self = tuple(slice(-lo[ax], -lo[ax] + self.shape[ax]) for ax in range(self.dimension))
-        sl_other = tuple(
-            slice(offs[ax] - lo[ax], offs[ax] - lo[ax] + other.shape[ax])
-            for ax in range(self.dimension)
-        )
-        a[sl_self] = self.values
-        b[sl_other] = other.values
+        a = _placed(self.values, tuple(-n for n in lo), shape)
+        b = _placed(other.values, tuple(o - n for o, n in zip(offs, lo)), shape)
         origin = tuple(
             self.origin[ax] + self.spacing[ax] * lo[ax] for ax in range(self.dimension)
         )
-        return GridSignal(op(a, b), self.spacing, origin)
+        with np.errstate(over="ignore", invalid="ignore"):  # _own refuses inf and NaN
+            values = op(a, b)
+        return GridSignal._own(values, self.spacing, origin)
 
     def __add__(self, other):
         if not isinstance(other, GridSignal):
@@ -255,13 +266,13 @@ class GridSignal:
         return self._combined(other, lambda a, b: a - b)
 
     def __neg__(self):
-        return GridSignal(-self.values if self.mode == FLOAT else self.values * Fraction(-1),
-                          self.spacing, self.origin)
+        return GridSignal._own(-self.values, self.spacing, self.origin)
 
     def scaled(self, factor) -> "GridSignal":
-        if self.mode == EXACT:
-            return GridSignal(self.values * Fraction(factor), self.spacing, self.origin)
-        return GridSignal(self.values * float(factor), self.spacing, self.origin)
+        c = Fraction(factor) if self.mode == EXACT else float(factor)
+        with np.errstate(over="ignore", invalid="ignore"):  # _own refuses inf and NaN
+            values = self.values * c
+        return GridSignal._own(values, self.spacing, self.origin)
 
     def with_impulse(self, point, value) -> "GridSignal":
         """Add ``value`` at one lattice point, growing the extent if needed."""
@@ -270,22 +281,16 @@ class GridSignal:
             raise DimensionMismatch(f"point {pt} is not {self.dimension}D")
         spike_vals = _zero_array((1,) * self.dimension, self.mode)
         spike_vals[(0,) * self.dimension] = Fraction(value) if self.mode == EXACT else float(value)
-        spike = GridSignal(spike_vals, self.spacing, tuple(float(c) for c in pt))
+        spike = GridSignal._own(spike_vals, self.spacing, tuple(float(c) for c in pt))
         return self + spike
 
     def on_grid_of(self, other: "GridSignal") -> "GridSignal":
         """Re-embed this signal on another signal's (larger) grid, zero elsewhere."""
         offs = self._offset_from(other)
-        out = _zero_array(other.shape, self.mode)
-        sl = []
-        for ax in range(self.dimension):
-            start = -offs[ax]
-            stop = start + self.shape[ax]
-            if start < 0 or stop > other.shape[ax]:
-                raise ValueError("target grid does not cover this signal")
-            sl.append(slice(start, stop))
-        out[tuple(sl)] = self.values
-        return GridSignal(out, other.spacing, other.origin)
+        if any(o > 0 or n - o > size for o, n, size in zip(offs, self.shape, other.shape)):
+            raise ValueError("target grid does not cover this signal")
+        return GridSignal._own(_placed(self.values, tuple(-o for o in offs), other.shape),
+                               other.spacing, other.origin)
 
     # --- summaries -----------------------------------------------------
 
@@ -342,7 +347,7 @@ class GridSignal:
     @classmethod
     def zeros(cls, shape, spacing=None, origin=None, mode: str = FLOAT) -> "GridSignal":
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        return cls(_zero_array(shape, mode), spacing, origin)
+        return cls._own(_zero_array(shape, mode), spacing, origin)
 
     @classmethod
     def from_lattice_dict(cls, data: Mapping, dimension: int | None = None,
@@ -367,7 +372,7 @@ class GridSignal:
         for p, v in items:
             idx = tuple(p[ax] - lo[ax] for ax in range(dimension))
             vals[idx] = vals[idx] + (Fraction(v) if mode == EXACT else float(v))
-        return cls(vals, None, tuple(float(v) for v in lo))
+        return cls._own(vals, None, tuple(float(v) for v in lo))
 
 
 def _window_bounds(window, dimension: int | None = None) -> tuple[tuple[int, int], ...]:

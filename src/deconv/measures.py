@@ -222,6 +222,13 @@ class AtomicMeasure:
         return Fraction(0) if self._mode == EXACT else 0.0
 
     def total_variation(self) -> Weight:
+        """Sum of |weight|; a float sum past float64 raises ``NonFiniteResult``."""
+        tv = self._abs_sum()
+        if self._mode == FLOAT and tv == math.inf:
+            raise NonFiniteResult(f"float total variation of {len(self)} atoms is past float64")
+        return tv
+
+    def _abs_sum(self) -> Weight:
         return sum((abs(w) for w in self._atoms.values()), self._zero())
 
     def max_abs_weight(self) -> Weight:
@@ -241,7 +248,7 @@ class AtomicMeasure:
 
     def __repr__(self) -> str:
         return (f"AtomicMeasure(d={self._dimension}, mode={self._mode!r}, "
-                f"{len(self._atoms)} atoms, tv={self.total_variation()})")
+                f"{len(self._atoms)} atoms, tv={self._abs_sum()})")
 
     # --- algebra -----------------------------------------------------------
 
@@ -481,7 +488,7 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
     if f.mode != m.mode:
         raise ModeMismatch(f"signal mode {f.mode} does not match measure mode {m.mode}")
     if m.is_zero:
-        return GridSignal(_zero_array(f.shape, f.mode), f.spacing, f.origin)
+        return GridSignal._own(_zero_array(f.shape, f.mode), f.spacing, f.origin)
     points, weights = zip(*sorted(m.atoms.items()))
     lo_m, hi_m = _box(points)
     shape = tuple(n + hi - lo for n, lo, hi in zip(f.shape, lo_m, hi_m))
@@ -491,11 +498,12 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
     # one shifted copy of the signal per atom, atoms sorted: every float
     # cell adds its products in that order
     out = np.zeros(shape, dtype=vf.dtype)
-    for q, w in zip(points, vm.tolist()):
-        out[tuple(slice(c - lo, c - lo + n) for c, lo, n in zip(q, lo_m, f.shape))] += vf * w
+    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
+        for q, w in zip(points, vm.tolist()):
+            out[tuple(slice(c - lo, c - lo + n) for c, lo, n in zip(q, lo_m, f.shape))] += vf * w
     if f.mode == EXACT:
         den = dm * df
         out = np.array([Fraction(n, den) for n in out.ravel().tolist()], dtype=object)
         out = out.reshape(shape)
     origin = tuple(float(o + lo) for o, lo in zip(f.lattice_origin(), lo_m))
-    return GridSignal(out, f.spacing, origin)
+    return GridSignal._own(out, f.spacing, origin)

@@ -112,13 +112,18 @@ def neumann_inverse(mu: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMea
     )
 
 
-def neumann(kernel: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMeasure, NeumannReport]:
-    """Inverse of a kernel ``c (delta_0 + mu)``: :func:`neumann_inverse` of mu, over c."""
+def factor_at_origin(kernel: AtomicMeasure) -> tuple[Fraction | float, AtomicMeasure]:
+    """The factoring ``kernel = c (delta_0 + mu)``: the origin weight c, and mu."""
     origin = (0,) * kernel.dimension
     center = kernel.atoms.get(origin)
     if center is None:
         raise UnsupportedKernel("series inversion needs a kernel with weight at the origin")
-    mu = (kernel - dirac(origin, center, mode=kernel.mode)).scale(1 / center)
+    return center, (kernel - dirac(origin, center, mode=kernel.mode)).scale(1 / center)
+
+
+def neumann(kernel: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMeasure, NeumannReport]:
+    """Inverse of a kernel ``c (delta_0 + mu)``: :func:`neumann_inverse` of mu, over c."""
+    center, mu = factor_at_origin(kernel)
     nu, report = neumann_inverse(mu, config)
     return nu.scale(1 / center), report
 
@@ -127,7 +132,7 @@ def three_point_kernel(a, *, mode: str = EXACT) -> AtomicMeasure:
     """The symmetric kernel (1-a)/2 delta_{-1} + a delta_0 + (1-a)/2 delta_1."""
     av = coerce_weight(a, mode)
     if not 0 < av <= 1:
-        raise ParameterOutOfRange(f"three-point weight a must be in (0, 1], got {a!r}")
+        raise ParameterOutOfRange(f"three-point weight a must be in (0, 1], got {av}")
     side = (1 - av) / 2
     return from_atoms({-1: side, 0: av, 1: side}, mode=mode)
 
@@ -135,7 +140,7 @@ def three_point_kernel(a, *, mode: str = EXACT) -> AtomicMeasure:
 def invert_three_point(a, config: NeumannConfig, *, mode: str = EXACT) -> tuple[AtomicMeasure, NeumannReport]:
     """Series inverse of the three-point kernel for a in (1/2, 1).
 
-    The kernel factors as ``a * (delta_0 + mu)`` (see :func:`neumann`) with
+    The kernel factors as ``a * (delta_0 + mu)`` (see :func:`factor_at_origin`) with
     ``mu = (1-a)/(2a) (delta_{-1} + delta_1)``, so ``tv(mu) = (1-a)/a < 1``
     exactly when a > 1/2.  At a = 1/2 the norm hits one and no summable
     two-sided inverse exists; the one-sided series in the ``onesided``

@@ -1,0 +1,90 @@
+"""Hand-written paste loops, kept as the oracle for ``grids._placed``.
+
+These are the bodies ``GridSignal.restrict``, ``_combined`` (behind ``+``
+and ``-``), ``on_grid_of`` and ``gaussian.padded_for_blur`` ran before all
+four moved onto one placement primitive: each fills zeros of the result
+box and pastes its operand at an offset of its own working out.  Results
+are built by the public constructor, as they were then.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from deconv import GridSignal
+from deconv.grids import _window_bounds, _zero_array
+
+
+def restrict(self: GridSignal, bounds) -> GridSignal:
+    win = _window_bounds(bounds, self.dimension)
+    lo = self.lattice_origin()
+    out = _zero_array(tuple(hi_w - lo_w + 1 for lo_w, hi_w in win), self.mode)
+    src = []
+    dst = []
+    for ax, (lo_w, hi_w) in enumerate(win):
+        a = max(lo_w, lo[ax])
+        b = min(hi_w, lo[ax] + self.shape[ax] - 1)
+        if a > b:
+            src = None
+            break
+        src.append(slice(a - lo[ax], b - lo[ax] + 1))
+        dst.append(slice(a - lo_w, b - lo_w + 1))
+    if src is not None:
+        out[tuple(dst)] = self.values[tuple(src)]
+    return GridSignal(out, self.spacing, tuple(float(lo_w) for lo_w, _ in win))
+
+
+def combined(self: GridSignal, other: GridSignal, op) -> GridSignal:
+    offs = self._offset_from(other)
+    lo = tuple(min(0, offs[ax]) for ax in range(self.dimension))
+    hi = tuple(
+        max(self.shape[ax] - 1, offs[ax] + other.shape[ax] - 1)
+        for ax in range(self.dimension)
+    )
+    shape = tuple(hi[ax] - lo[ax] + 1 for ax in range(self.dimension))
+    a = _zero_array(shape, self.mode)
+    b = _zero_array(shape, self.mode)
+    sl_self = tuple(slice(-lo[ax], -lo[ax] + self.shape[ax]) for ax in range(self.dimension))
+    sl_other = tuple(
+        slice(offs[ax] - lo[ax], offs[ax] - lo[ax] + other.shape[ax])
+        for ax in range(self.dimension)
+    )
+    a[sl_self] = self.values
+    b[sl_other] = other.values
+    origin = tuple(
+        self.origin[ax] + self.spacing[ax] * lo[ax] for ax in range(self.dimension)
+    )
+    return GridSignal(op(a, b), self.spacing, origin)
+
+
+def on_grid_of(self: GridSignal, other: GridSignal) -> GridSignal:
+    offs = self._offset_from(other)
+    out = _zero_array(other.shape, self.mode)
+    sl = []
+    for ax in range(self.dimension):
+        start = -offs[ax]
+        stop = start + self.shape[ax]
+        if start < 0 or stop > other.shape[ax]:
+            raise ValueError("target grid does not cover this signal")
+        sl.append(slice(start, stop))
+    out[tuple(sl)] = self.values
+    return GridSignal(out, other.spacing, other.origin)
+
+
+def padded_for_blur(f: GridSignal, margin: float = 6.0) -> GridSignal:
+    pads = []
+    for ax in range(f.dimension):
+        base = math.ceil(margin / f.spacing[ax])
+        total = f.shape[ax] + 2 * base
+        size = 1 << max(1, (total - 1).bit_length())
+        extra = size - total
+        left = base + extra // 2
+        pads.append((left, size - f.shape[ax] - left))
+    out = np.zeros(tuple(
+        f.shape[ax] + pads[ax][0] + pads[ax][1] for ax in range(f.dimension)))
+    sl = tuple(slice(pads[ax][0], pads[ax][0] + f.shape[ax]) for ax in range(f.dimension))
+    out[sl] = f.values
+    origin = tuple(
+        f.origin[ax] - pads[ax][0] * f.spacing[ax] for ax in range(f.dimension))
+    return GridSignal(out, f.spacing, origin)

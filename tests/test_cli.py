@@ -8,6 +8,7 @@ import pytest
 
 from deconv import (
     EXACT,
+    FLOAT,
     AtomicMeasure,
     GridSignal,
     InsufficientTruncation,
@@ -22,6 +23,7 @@ from deconv import (
 )
 from deconv import io as dio
 from deconv.cli import main
+from deconv.neumann import factor_at_origin, van_cittert_deblur
 
 
 @pytest.fixture
@@ -217,6 +219,21 @@ def test_deblur_vancittert_recovers_signal(tmp_path, capsys):
     assert params == "a=3/4;iterations=14"
     assert float(max_err) == pytest.approx(err)
     assert float(l2_err) >= float(max_err)
+
+
+def test_deblur_vancittert_float_uses_the_shared_origin_factoring(tmp_path):
+    # at a = 0.9, (1-a)/(2a) and ((1-a)/2) * fl(1/a) differ in the last bit
+    a = 0.9
+    assert (1 - a) / (2 * a) != ((1 - a) / 2) * (1 / a)
+    walk = np.cumsum(np.random.default_rng(5).normal(0.0, 0.1, 200))
+    g = GridSignal(walk, 1.0, 0.0)
+    gpath, out = tmp_path / "g.csv", tmp_path / "o.csv"
+    gpath.write_text("index,value\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(walk.tolist())))
+    assert main(["deblur", str(gpath), "-o", str(out), "--method", "vancittert",
+                 "--a", repr(a), "--iterations", "6", "--mode", "float"]) == 0
+    center, mu = factor_at_origin(three_point_kernel(a, mode=FLOAT))
+    want = van_cittert_deblur(g.scaled(1 / center), mu, 6)[-1]
+    assert dio.read_signal_csv(out, FLOAT).values.tolist() == want.values.tolist()
 
 
 def test_deblur_vancittert_needs_a(tmp_path):

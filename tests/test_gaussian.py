@@ -193,6 +193,19 @@ def test_noise_experiment_prediction_and_linearity():
     assert diag2.baseline_error == pytest.approx(diag.baseline_error)
 
 
+def test_noise_experiment_measures_the_deblur_of_the_noise_alone():
+    """By linearity the noise part of the error is the deblur of sigma * noise;
+    the difference of two reconstructions carries their amplified rounding."""
+    f, sigma, seed, band = two_bump_signal(), 1e-12, 0, 8.0
+    diag, rows = noise_blowup_experiment(f, sigma, seed=seed, band_limit=band)
+    blurred = blur(f)
+    noise = np.random.default_rng(seed).standard_normal(blurred.shape)
+    rec_noise, _ = naive_deblur(GridSignal(sigma * noise, blurred.spacing, blurred.origin),
+                                "analytic-amplifier", band_limit=band)
+    assert rows[0]["observed_error"] == pytest.approx(rec_noise.l2_norm(), rel=1e-12)
+    assert diag.noise_error == rows[0]["observed_error"]
+
+
 def test_noise_experiment_sigma_zero_is_baseline():
     f = two_bump_signal()
     diag, rows = noise_blowup_experiment(f, 0.0, seed=0, band_limit=6.0)

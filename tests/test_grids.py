@@ -4,7 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deconv import EXACT, FLOAT, DimensionMismatch, GridSignal, ModeMismatch
+from deconv import (
+    EXACT,
+    FLOAT,
+    DimensionMismatch,
+    GridSignal,
+    ModeMismatch,
+    NonFiniteResult,
+    apply_to_signal,
+    blur,
+    from_atoms,
+    naive_deblur,
+)
 
 
 def test_lattice_dict_roundtrip_exact():
@@ -19,12 +30,58 @@ def test_lattice_dict_roundtrip_exact():
 
 
 def test_values_are_copied_and_read_only():
-    vals = np.array([1.0, 2.0])
-    f = GridSignal(vals, 1.0, 0.0)
-    vals[0] = 9.0
-    assert f.values[0] == 1.0
-    with pytest.raises(ValueError):
-        f.values[0] = 5.0
+    for vals in (np.array([1.0, 2.0]), np.array([Fraction(1), 2], dtype=object)):
+        f = GridSignal(vals, 1.0, 0.0)
+        vals[0] = 9
+        assert f.values[0] == 1
+        with pytest.raises(ValueError):
+            f.values[0] = 5
+
+
+def test_every_result_is_read_only():
+    f = GridSignal(np.exp(-np.linspace(-4.0, 4.0, 41) ** 2), 0.25, 0.0)
+    lattice = GridSignal(np.array([1.0, -2.0, 0.5]), 1.0, -1.0)
+    blurred = blur(f)
+    results = [
+        blurred,
+        naive_deblur(blurred, "discrete-reciprocal")[0],
+        naive_deblur(blurred, "analytic-amplifier", band_limit=4.0)[0],
+        lattice.restrict((-3, 0)),
+        lattice + lattice.scaled(2),
+        lattice - lattice.restrict((0, 4)),
+        -lattice,
+        lattice.scaled(0.5),
+        apply_to_signal(lattice, from_atoms({-1: 0.25, 0: 0.5, 1: 0.25}, mode=FLOAT)),
+        apply_to_signal(lattice, from_atoms({}, mode=FLOAT, dimension=1)),
+    ]
+    for g in results:
+        assert not g.values.flags.writeable
+        with pytest.raises(ValueError):
+            g.values[0] = 1.0
+
+
+def test_float_results_past_float64_are_refused():
+    g = GridSignal(np.array([10.0, 1.0]), 1.0, 0.0)
+    with pytest.raises(NonFiniteResult):
+        g.scaled(1e308)
+    with pytest.raises(NonFiniteResult):
+        g.scaled(1e307) + g.scaled(1e307)
+    with pytest.raises(NonFiniteResult):
+        apply_to_signal(g, from_atoms({0: 1e308, 1: 1e308}, mode=FLOAT))
+
+
+def test_exact_results_hold_only_fractions():
+    f = GridSignal.from_lattice_dict({(-1,): 3, (1,): Fraction(1, 2)}, dimension=1)
+    m = from_atoms({0: Fraction(1, 3), 2: -1})
+    results = [
+        f, f.restrict((-4, 4)), f + f.restrict((0, 3)), f - f, -f, f.scaled(3),
+        f.scaled(Fraction(2, 7)), f.trim(), f.with_impulse(5, 2),
+        f.on_grid_of(GridSignal.zeros((9,), mode=EXACT, origin=(-4.0,))),
+        apply_to_signal(f, m), apply_to_signal(f, from_atoms({}, dimension=1)),
+    ]
+    for g in results:
+        assert g.mode == EXACT
+        assert all(type(v) is Fraction for v in g.values.flat)
 
 
 def test_bad_samples_rejected():

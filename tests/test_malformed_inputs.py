@@ -31,6 +31,9 @@ CORPUS = {
     "measure-missing": (MEASURE, {}, 2),
     "measure-float-product-overflow": (MEASURE + ["--mode", "float"],
                                        {"in.txt": "0 1e200\n1 -1e200\n"}, 4),
+    "measure-float-tv-overflow": (["convolve", "in.txt", "one.txt", "-o", "out.txt",
+                                   "--mode", "float"],
+                                  {"in.txt": "0 1e308\n1 1e308\n", "one.txt": "0 1\n"}, 4),
     # CSV on the lattice
     "index-header": (INDEX_CSV, {"in.csv": "i,v\n0,1\n"}, 2),
     "index-no-rows": (INDEX_CSV, {"in.csv": "index,value\n"}, 2),
@@ -38,6 +41,8 @@ CORPUS = {
     "index-bad-index": (INDEX_CSV, {"in.csv": "index,value\nhalf,1\n"}, 2),
     "index-bad-value": (INDEX_CSV, {"in.csv": "index,value\n0,one\n"}, 2),
     "index-repeated": (INDEX_CSV, {"in.csv": "index,value\n0,1\n0,5\n"}, 2),
+    "index-float-result-overflow": (INDEX_CSV + ["--mode", "float"],
+                                    {"in.csv": "index,value\n" + "0,1e308\n1,1e308\n"}, 4),
     # CSV on a general grid
     "x-not-uniform": (X_CSV, {"in.csv": "x,value\n0.0,1\n0.1,1\n0.3,1\n"}, 2),
     "x-bad-abscissa": (X_CSV, {"in.csv": "x,value\nzero,1\n"}, 2),

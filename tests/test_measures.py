@@ -13,6 +13,7 @@ from deconv import (
     DimensionMismatch,
     GridSignal,
     ModeMismatch,
+    NonFiniteResult,
     WindowSpec,
     apply_to_signal,
     dirac,
@@ -47,6 +48,14 @@ def test_mode_and_dimension_mixing_rejected():
         dirac(0, 1).convolve(dirac((0, 0), 1))
     with pytest.raises(DimensionMismatch):
         dirac(0, 1) + dirac((1, 1), 1)
+
+
+def test_float_total_variation_past_float64_is_refused():
+    m = from_atoms({0: 1e308, 1: -1e308}, mode=FLOAT)
+    with pytest.raises(NonFiniteResult):
+        m.total_variation()
+    assert "tv=inf" in repr(m)
+    assert from_atoms({0: 1e308, 1: -1e308}).total_variation() == 2 * Fraction(1e308)
 
 
 def test_three_point_example_weights():
