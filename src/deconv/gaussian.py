@@ -298,9 +298,11 @@ def blur(f: GridSignal, spec: GaussianKernelSpec | None = None,
         spec = GaussianKernelSpec(f.dimension)
     padded = padded_for_blur(f, margin)
     transfer = _transfer(spec, padded, half=True)
-    spectrum = np.fft.rfftn(padded.values)
-    spectrum *= transfer
-    return GridSignal._own(_irfftn(spectrum, padded.shape), padded.spacing, padded.origin)
+    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
+        spectrum = np.fft.rfftn(padded.values)
+        spectrum *= transfer
+        values = _irfftn(spectrum, padded.shape)
+    return GridSignal._own(values, padded.spacing, padded.origin)
 
 
 @dataclass(frozen=True)
@@ -425,9 +427,11 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
         applied_bins=applied,
         suppressed_bins=g.values.size - applied,
     )
-    spectrum = np.fft.rfftn(g.values)
-    spectrum *= multiplier
-    recovered = GridSignal._own(_irfftn(spectrum, g.shape), g.spacing, g.origin)
+    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
+        spectrum = np.fft.rfftn(g.values)
+        spectrum *= multiplier
+        values = _irfftn(spectrum, g.shape)
+    recovered = GridSignal._own(values, g.spacing, g.origin)
     return recovered, diagnostics
 
 

@@ -216,6 +216,16 @@ def _grid_from_file(values, spacing, origin, path) -> GridSignal:
         raise FormatError(str(exc), path=str(path)) from exc
 
 
+def _span_scale(vmin: float, vmax: float) -> float:
+    """1, or 1/2 where ``vmax - vmin`` is past float64's range.
+
+    Counts map to ``vmin .. vmax`` through values times this scale, where
+    the span is finite; halving finite values is exact down to the
+    subnormals, which no count of such a span can tell apart.
+    """
+    return 0.5 if np.isinf(vmax - vmin) else 1.0
+
+
 def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
               header: tuple[str, ...] = ()) -> None:
     if signal.dimension != 2:
@@ -225,9 +235,10 @@ def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
     vals = np.asarray(signal.values, dtype=float)
     vmin = float(vals.min())
     vmax = float(vals.max())
-    span = vmax - vmin
-    if span > 0:
-        counts = np.rint((vals - vmin) / span * maxval).astype(np.uint32)
+    s = _span_scale(vmin, vmax)
+    if vmax > vmin:
+        counts = np.rint((vals * s - vmin * s) / (vmax * s - vmin * s) * maxval)
+        counts = counts.astype(np.uint32)
     else:
         counts = np.zeros(vals.shape, dtype=np.uint32)
     h, w = vals.shape
@@ -332,7 +343,10 @@ def read_pgm(path) -> GridSignal:
             vmax = float(fields["vmax"][0])
         except (KeyError, IndexError, ValueError) as exc:
             raise FormatError(f"bad sidecar {meta}: {exc}", path=str(path)) from exc
-        values = vmin + counts / maxval * (vmax - vmin)
+        if not np.isfinite([vmin, vmax]).all():
+            raise FormatError("vmin and vmax must be finite", path=str(path))
+        s = _span_scale(vmin, vmax)
+        values = (vmin * s + counts / maxval * (vmax * s - vmin * s)) / s
     else:
         values = counts
     return _grid_from_file(values, spacing, origin, path)

@@ -14,7 +14,9 @@ for d in {1, 2}:
 * convolution, of two measures or of a measure and a signal, runs on
   arrays: exact weights enter as Python-int numerators over one common
   denominator, and the products of each result are summed in the order
-  the atom-by-atom definition gives, so float results keep their bytes.
+  the atom-by-atom definition gives, so float results keep their bytes;
+* an exact convolution power keeps its running power on one such integer
+  array between steps and forms ``Fraction``s once, for its result.
 
 Because truncated series are only inverses up to boundary junk, the
 "is an inverse" question is always asked on an explicit window: the
@@ -28,7 +30,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -130,6 +132,15 @@ def _common_scale(weights, mode: str) -> tuple[np.ndarray, int]:
     return np.array([w.numerator * (den // w.denominator) for w in weights], dtype=object), den
 
 
+def _dense_box(cells: int, products: int) -> bool:
+    """Whether a product box gets an array over all its cells.
+
+    Past ``_SPARSE_CELLS`` cells per product most of such an array would
+    stay zero, so the box is indexed by the cells the products hit instead.
+    """
+    return cells <= _SPARSE_CELLS * products
+
+
 def _convolve_core(ka, va, kb, vb, cells: int):
     """Sum ``va[i] * vb[j]`` into cell ``ka[i] + kb[j]`` of a box of ``cells`` cells.
 
@@ -146,7 +157,7 @@ def _convolve_core(ka, va, kb, vb, cells: int):
     step = max(1, _PASS_PRODUCTS // len(kb))
     passes = [slice(i, i + step) for i in range(0, len(ka), step)]
     keys = None
-    if cells > _SPARSE_CELLS * len(ka) * len(kb):
+    if not _dense_box(cells, len(ka) * len(kb)):
         keys = np.unique(np.concatenate([np.unique(np.add.outer(ka[p], kb)) for p in passes]))
     size = cells if keys is None else len(keys)
     sums = np.zeros(size, dtype=va.dtype)
@@ -159,6 +170,100 @@ def _convolve_core(ka, va, kb, vb, cells: int):
         start = p.start * len(kb)
         np.minimum.at(first, slot, np.arange(start, start + slot.size))
     return np.arange(cells) if keys is None else keys, sums, first
+
+
+class _Taps(NamedTuple):
+    """A nonzero measure as the factor of shifted-copy products.
+
+    Its atoms in sorted order, as offsets from the lower corner ``lo`` of
+    its box of ``shape``, with weights as numerators over ``den`` (see
+    :func:`_common_scale`).
+    """
+
+    lo: Point
+    shape: tuple[int, ...]
+    offsets: list[Point]
+    nums: list
+    den: int
+
+
+def _taps(m: "AtomicMeasure") -> _Taps:
+    points, weights = zip(*sorted(m.atoms.items()))
+    lo, hi = _box(points)
+    nums, den = _common_scale(weights, m.mode)
+    offsets = [tuple(c - low for c, low in zip(p, lo)) for p in points]
+    return _Taps(lo, tuple(h - l + 1 for l, h in zip(lo, hi)), offsets, nums.tolist(), den)
+
+
+def _at(offset, shape) -> tuple[slice, ...]:
+    """Slices of a box of this shape placed at this offset."""
+    return tuple(slice(c, c + n) for c, n in zip(offset, shape))
+
+
+def _shifted_sum(values: np.ndarray, taps: _Taps) -> np.ndarray:
+    """The product of an array with a measure: one shifted copy of the array per
+    atom, so a float cell adds its products in the atoms' sorted order."""
+    out = np.zeros(tuple(a + b - 1 for a, b in zip(values.shape, taps.shape)), values.dtype)
+    for q, w in zip(taps.offsets, taps.nums):
+        out[_at(q, values.shape)] += values * w
+    return out
+
+
+class _Dense:
+    """An exact lattice value as one array: Python-int numerators over one denominator.
+
+    The value at ``lo + i`` is ``nums[i] / den``, FLINT's ``fmpq_poly``
+    layout on a box.  A series built by repeated convolution with one
+    measure stays in this form between its steps, which multiply and add
+    integers; ``Fraction``s are formed once, by :meth:`measure`.
+    """
+
+    __slots__ = ("lo", "nums", "den")
+
+    def __init__(self, lo: Point, nums: np.ndarray, den: int):
+        self.lo, self.nums, self.den = lo, nums, den
+
+    @classmethod
+    def zeros(cls, lo: Point, shape: tuple[int, ...], den: int) -> "_Dense":
+        return cls(lo, np.zeros(shape, dtype=object), den)
+
+    @classmethod
+    def unit(cls, dimension: int) -> "_Dense":
+        return cls((0,) * dimension, np.ones((1,) * dimension, dtype=object), 1)
+
+    def convolve(self, taps: _Taps) -> "_Dense":
+        return _Dense(tuple(a + b for a, b in zip(self.lo, taps.lo)),
+                      _shifted_sum(self.nums, taps), self.den * taps.den)
+
+    def add(self, other: "_Dense", factor: int) -> None:
+        """``factor * other.nums`` added in place, on other's box inside this one."""
+        offset = tuple(a - b for a, b in zip(other.lo, self.lo))
+        self.nums[_at(offset, other.nums.shape)] += other.nums * factor
+
+    def measure(self, like: "AtomicMeasure", scale=1) -> "AtomicMeasure":
+        """``scale`` times this value, as a measure of ``like``'s dimension and mode."""
+        num, den = scale.as_integer_ratio()
+        den *= self.den
+        cells = np.flatnonzero(self.nums)
+        points = _cell_points(cells, self.lo, _strides(self.nums.shape))
+        nums = self.nums.ravel()[cells].tolist()
+        return like._with_atoms({p: Fraction(n * num, den) for p, n in zip(points, nums)})
+
+
+def _dense_powers(m: "AtomicMeasure") -> bool:
+    """Whether the powers of m are built on :class:`_Dense` arrays.
+
+    They are when m is exact and nonzero and the box of ``m * m`` is one
+    :func:`_convolve_core` would give an array, so atoms far apart keep
+    going through :meth:`AtomicMeasure.convolve`.  Float powers always do:
+    shifted copies add a cell's products in m's atom order, where
+    ``convolve`` adds them in the order of the running power's atoms, and
+    from three products per cell the last bits differ.
+    """
+    if m.mode != EXACT or m.is_zero:
+        return False
+    lo, hi = _box(m.atoms)
+    return _dense_box(math.prod(2 * (h - l) + 1 for l, h in zip(lo, hi)), len(m) ** 2)
 
 
 class AtomicMeasure:
@@ -340,6 +445,12 @@ class AtomicMeasure:
         """n-fold convolution power; n = 0 gives the unit delta_0."""
         if n < 0:
             raise ValueError("convolution powers need n >= 0")
+        if n and _dense_powers(self):
+            taps = _taps(self)
+            power = _Dense.unit(self._dimension)
+            for _ in range(n):
+                power = power.convolve(taps)
+            return power.measure(self)
         result = AtomicMeasure.unit(self._dimension, self._mode)
         for _ in range(n):
             result = result.convolve(self)
@@ -489,21 +600,13 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
         raise ModeMismatch(f"signal mode {f.mode} does not match measure mode {m.mode}")
     if m.is_zero:
         return GridSignal._own(_zero_array(f.shape, f.mode), f.spacing, f.origin)
-    points, weights = zip(*sorted(m.atoms.items()))
-    lo_m, hi_m = _box(points)
-    shape = tuple(n + hi - lo for n, lo, hi in zip(f.shape, lo_m, hi_m))
-    vm, dm = _common_scale(weights, m.mode)
+    taps = _taps(m)
     vf, df = _common_scale(f.values.ravel(), f.mode)
-    vf = vf.reshape(f.shape)
-    # one shifted copy of the signal per atom, atoms sorted: every float
-    # cell adds its products in that order
-    out = np.zeros(shape, dtype=vf.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
-        for q, w in zip(points, vm.tolist()):
-            out[tuple(slice(c - lo, c - lo + n) for c, lo, n in zip(q, lo_m, f.shape))] += vf * w
+        out = _shifted_sum(vf.reshape(f.shape), taps)
     if f.mode == EXACT:
-        den = dm * df
-        out = np.array([Fraction(n, den) for n in out.ravel().tolist()], dtype=object)
-        out = out.reshape(shape)
-    origin = tuple(float(o + lo) for o, lo in zip(f.lattice_origin(), lo_m))
+        den = taps.den * df
+        out = np.array([Fraction(n, den) for n in out.ravel().tolist()],
+                       dtype=object).reshape(out.shape)
+    origin = tuple(float(o + lo) for o, lo in zip(f.lattice_origin(), taps.lo))
     return GridSignal._own(out, f.spacing, origin)

@@ -14,6 +14,13 @@ materialize the truncation, report that residual honestly (by carrying out
 the convolution, not by quoting the formula), and wrap the classic
 fixed-point iteration that computes ``nu_n * g`` one kernel application at
 a time.
+
+An exact series is built on one array: with ``mu = M / d`` (integer
+numerators over one denominator), ``nu_n`` is ``sum (-1)^k d^(n-k) M^{*k}``
+over ``d^n``, each power one integer convolution of the last.  Its atoms,
+the residual's and the kernel's ``1/c`` become ``Fraction``s once, at the
+end.  Float series, and exact ones whose atoms lie too far apart for an
+array over their box, take one ``convolve`` and one measure sum per term.
 """
 from __future__ import annotations
 
@@ -23,7 +30,16 @@ from fractions import Fraction
 
 from .errors import NormNotLessThanOne, OrderCapExceeded, ParameterOutOfRange, UnsupportedKernel
 from .grids import EXACT, GridSignal
-from .measures import AtomicMeasure, apply_to_signal, coerce_weight, dirac, from_atoms
+from .measures import (
+    AtomicMeasure,
+    _Dense,
+    _dense_powers,
+    _taps,
+    apply_to_signal,
+    coerce_weight,
+    dirac,
+    from_atoms,
+)
 
 
 @dataclass(frozen=True)
@@ -91,18 +107,28 @@ def neumann_inverse(mu: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMea
     residual and its a priori bound.  Raises ``NormNotLessThanOne`` when
     ``tv(mu) >= 1``.
     """
+    return _inverse(mu, config)
+
+
+def _inverse(mu: AtomicMeasure, config: NeumannConfig,
+             scale=1) -> tuple[AtomicMeasure, NeumannReport]:
+    """:func:`neumann_inverse`, with ``nu_n`` returned times ``scale``."""
     norm = mu.total_variation()
     if not norm < 1:
         raise NormNotLessThanOne(norm)
     n = _pick_order(norm, config)
     unit = AtomicMeasure.unit(mu.dimension, mu.mode)
-    nu = unit
-    term = unit
-    for k in range(1, n + 1):
-        term = term.convolve(mu)
-        nu = nu + (term if k % 2 == 0 else -term)
     kernel = unit + mu
-    residual = kernel.convolve(nu) - unit
+    if not mu.is_zero and _dense_powers(kernel):
+        nu, residual = _dense_series(mu, kernel, n, scale)
+    else:
+        nu = term = unit
+        for k in range(1, n + 1):
+            term = term.convolve(mu)
+            nu = nu + (term if k % 2 == 0 else -term)
+        residual = kernel.convolve(nu) - unit
+        if scale != 1:
+            nu = nu.scale(scale)
     return nu, NeumannReport(
         order=n,
         mu_norm=norm,
@@ -110,6 +136,30 @@ def neumann_inverse(mu: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMea
         residual=residual,
         residual_norm=residual.total_variation(),
     )
+
+
+def _dense_series(mu: AtomicMeasure, kernel: AtomicMeasure, n: int,
+                  scale) -> tuple[AtomicMeasure, AtomicMeasure]:
+    """``scale * nu_n`` and the residual ``kernel * nu_n - delta_0``, each on one array.
+
+    With ``mu = M / d``, ``nu_n = sum_k (-1)^k d^(n-k) M^{*k} / d^n``: each
+    integer power ``M^{*k}`` is one convolution of the last, added into the
+    sum at once, and the residual is that sum convolved with the kernel.
+    Only the two results become ``Fraction``s.
+    """
+    base, kern = _taps(mu), _taps(kernel)
+    d = base.den
+    # kernel^n's box holds every mu^k with k <= n, since the kernel's holds the origin
+    total = _Dense.zeros(tuple(n * c for c in kern.lo),
+                         tuple(n * (size - 1) + 1 for size in kern.shape), d ** n)
+    term = _Dense.unit(mu.dimension)
+    for k in range(n + 1):
+        if k:
+            term = term.convolve(base)
+        total.add(term, (-1) ** k * d ** (n - k))
+    residual = total.convolve(kern)
+    residual.add(_Dense.unit(mu.dimension), -residual.den)
+    return total.measure(mu, scale), residual.measure(mu)
 
 
 def factor_at_origin(kernel: AtomicMeasure) -> tuple[Fraction | float, AtomicMeasure]:
@@ -124,8 +174,7 @@ def factor_at_origin(kernel: AtomicMeasure) -> tuple[Fraction | float, AtomicMea
 def neumann(kernel: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMeasure, NeumannReport]:
     """Inverse of a kernel ``c (delta_0 + mu)``: :func:`neumann_inverse` of mu, over c."""
     center, mu = factor_at_origin(kernel)
-    nu, report = neumann_inverse(mu, config)
-    return nu.scale(1 / center), report
+    return _inverse(mu, config, 1 / center)
 
 
 def three_point_kernel(a, *, mode: str = EXACT) -> AtomicMeasure:

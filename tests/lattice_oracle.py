@@ -1,18 +1,24 @@
-"""Atom-by-atom convolution, kept as the oracle for the array core.
+"""Atom-by-atom convolution and series, kept as the oracle for the array code.
 
-These are the dict loops ``AtomicMeasure.convolve`` and ``apply_to_signal``
-ran before they moved onto one array core: every product is added to a
-``Fraction`` or float accumulator as it is formed, exact sums pay a gcd on
-each addition, and a float sum adds its products in the order the loops
-meet them.  The tests compare the core with these results atom for atom in
-exact mode and bit for bit in float mode, atom order included.
+``convolve`` and ``apply_to_signal`` are the dict loops
+``AtomicMeasure.convolve`` and ``apply_to_signal`` ran before they moved
+onto one array core: every product is added to a ``Fraction`` or float
+accumulator as it is formed, exact sums pay a gcd on each addition, and a
+float sum adds its products in the order the loops meet them.
+``neumann_inverse`` and ``power`` are the loops of measures that the
+exact series ran before they moved onto one integer-numerator array.  The
+tests compare the library with these results atom for atom in exact mode
+and bit for bit in float mode, atom order included where floats are summed.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from deconv import EXACT, AtomicMeasure, GridSignal
+import numpy as np
+
+from deconv import EXACT, AtomicMeasure, GridSignal, NeumannReport, NormNotLessThanOne
 from deconv.grids import _zero_array
+from deconv.neumann import _pick_order
 
 
 def convolve(a: AtomicMeasure, b: AtomicMeasure) -> AtomicMeasure:
@@ -40,6 +46,37 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
     for q, w in sorted(m.atoms.items()):
         sl = tuple(
             slice(q[ax] - lo_m[ax], q[ax] - lo_m[ax] + f.shape[ax]) for ax in range(d))
-        out[sl] = out[sl] + f.values * w
+        with np.errstate(over="ignore", invalid="ignore"):  # GridSignal refuses inf and NaN
+            out[sl] = out[sl] + f.values * w
     origin = tuple(float(f_lo[ax] + lo_m[ax]) for ax in range(d))
     return GridSignal(out, f.spacing, origin)
+
+
+def power(m: AtomicMeasure, n: int) -> AtomicMeasure:
+    """n-fold convolution power, one product with m at a time."""
+    result = AtomicMeasure.unit(m.dimension, m.mode)
+    for _ in range(n):
+        result = result.convolve(m)
+    return result
+
+
+def neumann_inverse(mu: AtomicMeasure, config) -> tuple[AtomicMeasure, NeumannReport]:
+    """nu_n = sum (-1)^k mu^{*k}, one measure sum per term, and its convolution residual."""
+    norm = mu.total_variation()
+    if not norm < 1:
+        raise NormNotLessThanOne(norm)
+    n = _pick_order(norm, config)
+    unit = AtomicMeasure.unit(mu.dimension, mu.mode)
+    nu = unit
+    term = unit
+    for k in range(1, n + 1):
+        term = term.convolve(mu)
+        nu = nu + (term if k % 2 == 0 else -term)
+    residual = (unit + mu).convolve(nu) - unit
+    return nu, NeumannReport(
+        order=n,
+        mu_norm=norm,
+        bound=norm ** (n + 1),
+        residual=residual,
+        residual_norm=residual.total_variation(),
+    )

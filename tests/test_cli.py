@@ -1,4 +1,5 @@
 """End-to-end behavior of the command line interface."""
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import deconv
 from deconv import (
     EXACT,
     FLOAT,
@@ -182,6 +184,25 @@ def test_convolve_refuses_a_float_product_that_overflows(tmp_path, capsys):
     assert main(["convolve", str(m), str(m), "-o", str(out), "--mode", "float"]) == 4
     assert not out.exists()
     assert "inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, command", [
+    (40, ["blur"]),
+    (200, ["deblur", "--method", "reciprocal"]),
+    (200, ["deblur", "--method", "analytic"]),
+])
+def test_fourier_steps_past_float64_print_only_the_refusal(tmp_path, rows, command):
+    # the FFT of samples near 1e308 overflows: the result is refused with exit 4,
+    # and no numpy warning reaches stderr before the error line
+    (tmp_path / "big.csv").write_text(
+        "x,value\n" + "".join(f"{i / 10},1e308\n" for i in range(rows)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deconv.__file__)))
+    run = subprocess.run([sys.executable, "-m", "deconv.cli", command[0], "big.csv",
+                          "-o", "out.csv", *command[1:]], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 4
+    assert run.stderr == "error: signal samples must be finite\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

@@ -147,6 +147,29 @@ def test_pgm_roundtrip(tmp_path, binary, maxval):
     assert path.with_suffix(".pgm.meta").exists() or (str(path) + ".meta")
 
 
+@pytest.mark.parametrize("binary", [True, False])
+def test_pgm_roundtrip_of_a_span_past_float64(tmp_path, binary):
+    # 1e308 - (-1e308) overflows; counts and values still span the grid, no warning
+    path = tmp_path / "img.pgm"
+    f = GridSignal(np.array([[-1e308, -2e307], [5e307, 1e308]]), (1.0, 1.0), (0.0, 0.0))
+    dio.write_pgm(path, f, binary=binary)
+    back = dio.read_pgm(path)
+    assert back.values[0, 0] == -1e308 and back.values[1, 1] == 1e308
+    assert back.max_abs_diff(f) <= 2e308 / 255 / 2 * (1 + 1e-9)
+
+
+def test_pgm_sidecar_span_past_float64(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P2\n2 2\n3\n0 1\n2 3\n")
+    meta = tmp_path / "img.pgm.meta"
+    meta.write_text("spacing 1 1\norigin 0 0\nvmin -1e308\nvmax 1e308\n")
+    assert np.allclose(dio.read_pgm(path).values,
+                       [[-1e308, -1e308 / 3], [1e308 / 3, 1e308]], rtol=1e-15, atol=0)
+    meta.write_text("spacing 1 1\norigin 0 0\nvmin 0\nvmax inf\n")
+    with pytest.raises(FormatError, match="vmin and vmax must be finite"):
+        dio.read_pgm(path)
+
+
 def test_pgm_without_sidecar_reads_counts(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P2\n# a comment\n2 2\n255\n0 128\n255 64\n")

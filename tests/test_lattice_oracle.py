@@ -1,9 +1,10 @@
-"""The array convolution core against the atom-by-atom oracle.
+"""The array convolution core and the series built on it against the oracle.
 
 Exact results must equal the oracle's atom for atom, float results bit for
-bit (compared through ``repr``), and both must list their atoms in the
+bit (compared through ``repr``), and float ones must list their atoms in the
 oracle's order, since float sums taken later (``total_variation``, the next
-convolution) add in that order.
+convolution) add in that order.  Core products list exact atoms in the
+oracle's order too; exact series list theirs by position.
 """
 from fractions import Fraction
 
@@ -16,11 +17,16 @@ from deconv import (
     EXACT,
     FLOAT,
     AtomicMeasure,
+    DeconvError,
     GridSignal,
+    NeumannConfig,
     NonFiniteResult,
     apply_to_signal,
+    dirac,
     from_atoms,
+    neumann_inverse,
 )
+from deconv.neumann import factor_at_origin, neumann
 
 NARROW = st.integers(-6, 6)
 # a coordinate far out puts the result box over the core's sparse threshold;
@@ -172,3 +178,106 @@ def test_unrelated_denominators_match_oracle():
         assert atom_list(x.convolve(y)) == atom_list(oracle.convolve(x, y))
     f = GridSignal(np.array([a.atoms[(i,)] for i in range(len(primes))], dtype=object))
     assert grid_view(apply_to_signal(f, c)) == grid_view(oracle.apply_to_signal(f, c))
+
+
+# --- series: Neumann inverses and convolution powers ---------------------------
+
+
+@st.composite
+def near_identity(draw):
+    """(mu, order): tv(mu) < 1 from up to five atoms a gap apart, weights over
+    unrelated denominators; gap 1 puts three or more products on a cell, gap
+    20 sends the series through ``convolve``'s sparse boxes."""
+    dimension = draw(st.sampled_from((1, 2)))
+    mode = draw(st.sampled_from((EXACT, FLOAT)))
+    gap = draw(st.sampled_from((1, 2, 3, 20)))
+    coord = st.integers(-3, 3).map(lambda c: c * gap)
+    weight = (st.fractions(Fraction(-19, 100), Fraction(19, 100), max_denominator=200)
+              if mode == EXACT else st.floats(-0.19, 0.19))
+    count = draw(st.integers(0, 5))
+    atoms = draw(st.lists(st.tuples(st.tuples(*[coord] * dimension), weight),
+                          min_size=count, max_size=count))
+    order = draw(st.integers(0, 40 if dimension == 1 else 8))
+    return AtomicMeasure(dimension, atoms, mode), order
+
+
+def series_view(m):
+    """Exact atoms by position (types included), float atoms in their order."""
+    if isinstance(m, type):
+        return m
+    items = m.atoms.items()
+    return repr(sorted(items) if m.mode == EXACT else list(items))
+
+
+def report_view(result):
+    if isinstance(result, type):
+        return result
+    nu, report = result
+    return (series_view(nu), series_view(report.residual), repr(report.residual_norm),
+            report.order, repr(report.bound), repr(report.mu_norm))
+
+
+def settle(fn, *args):
+    """The result of fn, or the type of the library error it raises."""
+    try:
+        return fn(*args)
+    except DeconvError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_identity())
+def test_neumann_inverse_matches_oracle(case):
+    mu, order = case
+    config = NeumannConfig(order=order)
+    assert report_view(neumann_inverse(mu, config)) == \
+        report_view(oracle.neumann_inverse(mu, config))
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_identity(), st.sampled_from((Fraction(3, 7), Fraction(-5, 2), 2)))
+def test_neumann_folds_the_center_into_the_series(case, center):
+    """neumann(c (delta_0 + mu)) is the oracle's nu_n scaled by 1/c."""
+    mu, order = case
+    kernel = dirac((0,) * mu.dimension, center, mode=mu.mode) + mu.scale(center)
+    config = NeumannConfig(order=order)
+
+    def want():
+        c, m = factor_at_origin(kernel)
+        nu, report = oracle.neumann_inverse(m, config)
+        return nu.scale(1 / c), report
+
+    assert report_view(settle(neumann, kernel, config)) == report_view(settle(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_identity())
+def test_power_matches_oracle(case):
+    m, order = case
+    n = order % 9
+    assert series_view(m.power(n)) == series_view(oracle.power(m, n))
+
+
+def test_float_power_keeps_convolve_sums():
+    """Three products on cell 4 of this cube: shifted copies in the atoms'
+    sorted order end on ...996, the running power's order on ...995."""
+    m = from_atoms({0: -0.22, 1: 0.21, 2: 0.16}, mode=FLOAT)
+    got, want = m.power(3), oracle.power(m, 3)
+    assert repr(got.weight(4)) == repr(want.weight(4)) == "0.004271999999999995"
+    assert series_view(got) == series_view(want)
+
+
+def test_series_over_unrelated_denominators_match_oracle():
+    """The lattice-exact benchmark's shapes (order 32, a = p/q with q of 10
+    bits; a 3x3 power), and five atoms over distinct primes to order 40."""
+    mus = [from_atoms({-1: (1 - a) / (2 * a), 1: (1 - a) / (2 * a)})
+           for a in (Fraction(601, 1009), Fraction(773, 1021), Fraction(9, 10))]
+    mus.append(from_atoms({i: Fraction(-1) ** i / q
+                           for i, q in zip(range(-2, 3), (11, 13, 17, 19, 23))}))
+    for mu, order in zip(mus, (32, 32, 32, 40)):
+        config = NeumannConfig(order=order)
+        assert report_view(neumann_inverse(mu, config)) == \
+            report_view(oracle.neumann_inverse(mu, config))
+    m = from_atoms({(i, j): Fraction((3 * i + j) % 6 + 1, 7)
+                    for i in (-1, 0, 1) for j in (-1, 0, 1)})
+    assert series_view(m.power(6)) == series_view(oracle.power(m, 6))
