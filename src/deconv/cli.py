@@ -36,7 +36,6 @@ from .errors import (
 )
 from .gaussian import (
     DEFAULT_RECIPROCAL_FLOOR,
-    GaussianKernelSpec,
     blur,
     naive_deblur,
     noise_blowup_experiment,
@@ -199,7 +198,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_blur(args) -> int:
     signal = dio.load_signal(args.input, FLOAT)
-    out = blur(signal, GaussianKernelSpec(signal.dimension))
+    out = blur(signal)
     header = _echo({"command": "blur", "input": args.input})
     dio.save_signal(args.output, out, header)
     print(f"shape={'x'.join(str(n) for n in out.shape)} mass={repr(out.mass())}")
@@ -269,8 +268,11 @@ def _cmd_deblur(args) -> int:
 def _cmd_experiment(args) -> int:
     name = args.name
     settings = {"command": "experiment", "name": name}
-    if name == "growth":
+    if name != "noise-gaussian":
+        if args.n_step < 1 or args.n_from > args.n_to:
+            return _usage("the N ladder needs --n-step >= 1 and --n-from <= --n-to")
         ns = range(args.n_from, args.n_to + 1, args.n_step)
+    if name == "growth":
         settings.update(n_from=args.n_from, n_to=args.n_to, n_step=args.n_step)
         rows = [(str(n), str(peak)) for n, peak in growth_table(ns)]
         columns = ("N", "max_abs_coefficient")
@@ -289,7 +291,7 @@ def _cmd_experiment(args) -> int:
                         seed=args.seed, sigma=sigma, window=f"{lo}:{hi}")
         kernel = binomial_kernel()
         rows = []
-        for n in range(args.n_from, args.n_to + 1, args.n_step):
+        for n in ns:
             rep = perturbation_response(f, kernel, binomial_inverse(n), eps)
             rows.append((str(n), str(rep.margin),
                          dio.format_weight(rep.max_deviation),

@@ -242,14 +242,12 @@ def _axis_transfer(n: int, spacing: float) -> np.ndarray:
     return np.fft.fft(_UNIT_1D.density(offsets)).real * spacing
 
 
-def _transfer(spec: GaussianKernelSpec, like: GridSignal, half: bool) -> np.ndarray:
+def _transfer(like: GridSignal, half: bool) -> np.ndarray:
     """Real transfer function of the discrete periodic blur on ``like``'s grid.
 
     The outer product of the per-axis spectra; ``half`` gives the rfftn
     layout.
     """
-    if spec.dimension != like.dimension:
-        raise DimensionMismatch("kernel and grid dimension differ")
     _validate_kernel_grid(like)
     return _outer([_axis_transfer(n, s) for n, s in zip(like.shape, like.spacing)],
                   np.multiply, half)
@@ -263,7 +261,9 @@ def kernel_spectrum(spec: GaussianKernelSpec, like: GridSignal) -> np.ndarray:
     is real; the array is complex for callers that combine it with
     :func:`dft_forward` spectra.
     """
-    return _transfer(spec, like, half=False).astype(complex)
+    if spec.dimension != like.dimension:
+        raise DimensionMismatch("kernel and grid dimension differ")
+    return _transfer(like, half=False).astype(complex)
 
 
 def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
@@ -285,8 +285,7 @@ def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
     return GridSignal._own(_placed(f.values, lefts, sizes), f.spacing, origin)
 
 
-def blur(f: GridSignal, spec: GaussianKernelSpec | None = None,
-         margin: float = KERNEL_REACH) -> GridSignal:
+def blur(f: GridSignal) -> GridSignal:
     """Gaussian blur by spectrum multiplication on a zero-padded grid.
 
     The result lives on the padded grid; its spectrum is exactly the
@@ -294,10 +293,8 @@ def blur(f: GridSignal, spec: GaussianKernelSpec | None = None,
     preserved up to the kernel's quadrature error.
     """
     _require_float(f)
-    if spec is None:
-        spec = GaussianKernelSpec(f.dimension)
-    padded = padded_for_blur(f, margin)
-    transfer = _transfer(spec, padded, half=True)
+    padded = padded_for_blur(f)
+    transfer = _transfer(padded, half=True)
     with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
         spectrum = np.fft.rfftn(padded.values)
         spectrum *= transfer
@@ -358,8 +355,7 @@ def _half_multiplicity(n: int) -> np.ndarray:
 
 
 def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
-                 reciprocal_floor: float | None = DEFAULT_RECIPROCAL_FLOOR,
-                 spec: GaussianKernelSpec | None = None
+                 reciprocal_floor: float | None = DEFAULT_RECIPROCAL_FLOOR
                  ) -> tuple[GridSignal, SpectrumDiagnostics]:
     """Invert a Gaussian blur by direct spectral amplification.
 
@@ -367,7 +363,8 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
     exact inverse of :func:`blur` on the same grid wherever the transfer
     function stays above ``reciprocal_floor``; pass a floor of 0 or None
     to divide unconditionally, which raises ``ReciprocalUnderflow`` when
-    a spectrum magnitude sits below 1e-300.  ``analytic-amplifier``
+    a spectrum magnitude sits below 1e-300; a NaN floor or band limit is
+    refused.  ``analytic-amplifier``
     multiplies by exp(|u|^2/2), zeroing bins past ``band_limit`` or the
     float64 overflow line.
 
@@ -378,17 +375,17 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
     if method not in DEBLUR_METHODS:
         raise ParameterOutOfRange(
             f"unknown deblur method {method!r}; expected one of {DEBLUR_METHODS}")
-    if band_limit is not None and band_limit <= 0:
+    if band_limit is not None and not band_limit > 0:
         raise ParameterOutOfRange("band_limit must be positive")
-    if spec is None:
-        spec = GaussianKernelSpec(g.dimension)
+    if reciprocal_floor is not None and math.isnan(reciprocal_floor):
+        raise ParameterOutOfRange("reciprocal_floor must not be NaN")
     usq = _freq_norm_sq(g.shape, g.spacing, half=True)
     if band_limit is None:
         mask = np.ones(usq.shape, dtype=bool)
     else:
         mask = usq <= float(band_limit) ** 2
     if method == "discrete-reciprocal":
-        transfer = _transfer(spec, g, half=True)
+        transfer = _transfer(g, half=True)
         magnitude = np.abs(transfer)
         if reciprocal_floor is None or reciprocal_floor <= 0:
             lowest = float(np.min(magnitude[mask])) if mask.any() else 1.0
@@ -436,9 +433,7 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
 
 
 def noise_blowup_experiment(f: GridSignal, sigma: float, seed: int,
-                            band_limit: float,
-                            spec: GaussianKernelSpec | None = None
-                            ) -> tuple[SpectrumDiagnostics, list[dict]]:
+                            band_limit: float) -> tuple[SpectrumDiagnostics, list[dict]]:
     """Blur, add white noise, deblur band-limited, and compare with prediction.
 
     The reported ``observed_error`` is the part of the reconstruction
@@ -457,14 +452,12 @@ def noise_blowup_experiment(f: GridSignal, sigma: float, seed: int,
     """
     if sigma < 0:
         raise ParameterOutOfRange("sigma must be >= 0")
-    blurred = blur(f, spec)
+    blurred = blur(f)
     rng = np.random.default_rng(seed)
     noise = GridSignal._own(sigma * rng.standard_normal(blurred.shape),
                             blurred.spacing, blurred.origin)
-    rec_clean, diag = naive_deblur(
-        blurred, "analytic-amplifier", band_limit=band_limit, spec=spec)
-    rec_noise, _ = naive_deblur(
-        noise, "analytic-amplifier", band_limit=band_limit, spec=spec)
+    rec_clean, diag = naive_deblur(blurred, "analytic-amplifier", band_limit=band_limit)
+    rec_noise, _ = naive_deblur(noise, "analytic-amplifier", band_limit=band_limit)
     reference = f.on_grid_of(blurred)
     total_error = (rec_clean + rec_noise - reference).l2_norm()
     baseline_error = (rec_clean - reference).l2_norm()

@@ -15,8 +15,12 @@ for d in {1, 2}:
   arrays: exact weights enter as Python-int numerators over one common
   denominator, and the products of each result are summed in the order
   the atom-by-atom definition gives, so float results keep their bytes;
-* an exact convolution power keeps its running power on one such integer
-  array between steps and forms ``Fraction``s once, for its result.
+* measures, signals and exact series are one array type, ``_Dense``; a
+  convolution power and a Neumann series are polynomials in one such
+  array, evaluated by one Horner loop, ``_horner``;
+* measure * measure keeps ``_convolve_core``, whose float sums, atom order
+  and sparse slots the oracles pin; the benchmark's exact Neumann steps
+  ran 2.6 to 2.9 times slower through it (its 2D power steps about even).
 
 Because truncated series are only inverses up to boundary junk, the
 "is an inverse" question is always asked on an explicit window: the
@@ -30,7 +34,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -172,50 +176,24 @@ def _convolve_core(ka, va, kb, vb, cells: int):
     return np.arange(cells) if keys is None else keys, sums, first
 
 
-class _Taps(NamedTuple):
-    """A nonzero measure as the factor of shifted-copy products.
-
-    Its atoms in sorted order, as offsets from the lower corner ``lo`` of
-    its box of ``shape``, with weights as numerators over ``den`` (see
-    :func:`_common_scale`).
-    """
-
-    lo: Point
-    shape: tuple[int, ...]
-    offsets: list[Point]
-    nums: list
-    den: int
-
-
-def _taps(m: "AtomicMeasure") -> _Taps:
-    points, weights = zip(*sorted(m.atoms.items()))
-    lo, hi = _box(points)
-    nums, den = _common_scale(weights, m.mode)
-    offsets = [tuple(c - low for c, low in zip(p, lo)) for p in points]
-    return _Taps(lo, tuple(h - l + 1 for l, h in zip(lo, hi)), offsets, nums.tolist(), den)
-
-
-def _at(offset, shape) -> tuple[slice, ...]:
-    """Slices of a box of this shape placed at this offset."""
-    return tuple(slice(c, c + n) for c, n in zip(offset, shape))
-
-
-def _shifted_sum(values: np.ndarray, taps: _Taps) -> np.ndarray:
-    """The product of an array with a measure: one shifted copy of the array per
-    atom, so a float cell adds its products in the atoms' sorted order."""
+def _shifted_sum(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The product of two arrays: one shifted copy of ``values`` per nonzero cell
+    of ``taps``, taken in row-major (sorted atom) order, so a float cell adds
+    its products in that order."""
     out = np.zeros(tuple(a + b - 1 for a, b in zip(values.shape, taps.shape)), values.dtype)
-    for q, w in zip(taps.offsets, taps.nums):
-        out[_at(q, values.shape)] += values * w
+    cells = np.nonzero(taps)
+    for q, w in zip(zip(*(c.tolist() for c in cells)), taps[cells].tolist()):
+        out[tuple(slice(c, c + n) for c, n in zip(q, values.shape))] += values * w
     return out
 
 
 class _Dense:
-    """An exact lattice value as one array: Python-int numerators over one denominator.
+    """A measure, signal or series as one array over its box.
 
     The value at ``lo + i`` is ``nums[i] / den``, FLINT's ``fmpq_poly``
-    layout on a box.  A series built by repeated convolution with one
-    measure stays in this form between its steps, which multiply and add
-    integers; ``Fraction``s are formed once, by :meth:`measure`.
+    layout on a box: Python-int numerators for exact values, float64 over 1
+    for float ones.  Exact ``Fraction``s are formed once, by :meth:`measure`
+    or :meth:`signal`.
     """
 
     __slots__ = ("lo", "nums", "den")
@@ -224,30 +202,57 @@ class _Dense:
         self.lo, self.nums, self.den = lo, nums, den
 
     @classmethod
-    def zeros(cls, lo: Point, shape: tuple[int, ...], den: int) -> "_Dense":
-        return cls(lo, np.zeros(shape, dtype=object), den)
+    def of(cls, value: Union["AtomicMeasure", GridSignal]) -> "_Dense":
+        """A nonzero measure on the box of its atoms, or a lattice signal on its grid."""
+        if isinstance(value, GridSignal):
+            nums, den = _common_scale(value.values.ravel(), value.mode)
+            return cls(value.lattice_origin(), nums.reshape(value.shape), den)
+        points, weights = zip(*value.atoms.items())
+        lo, hi = _box(points)
+        nums, den = _common_scale(weights, value.mode)
+        box = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), nums.dtype)
+        box[tuple(zip(*([c - low for c, low in zip(p, lo)] for p in points)))] = nums
+        return cls(lo, box, den)
 
-    @classmethod
-    def unit(cls, dimension: int) -> "_Dense":
-        return cls((0,) * dimension, np.ones((1,) * dimension, dtype=object), 1)
+    def convolve(self, other: "_Dense") -> "_Dense":
+        return _Dense(tuple(a + b for a, b in zip(self.lo, other.lo)),
+                      _shifted_sum(self.nums, other.nums), self.den * other.den)
 
-    def convolve(self, taps: _Taps) -> "_Dense":
-        return _Dense(tuple(a + b for a, b in zip(self.lo, taps.lo)),
-                      _shifted_sum(self.nums, taps), self.den * taps.den)
-
-    def add(self, other: "_Dense", factor: int) -> None:
-        """``factor * other.nums`` added in place, on other's box inside this one."""
-        offset = tuple(a - b for a, b in zip(other.lo, self.lo))
-        self.nums[_at(offset, other.nums.shape)] += other.nums * factor
+    def add_unit(self, c: int) -> "_Dense":
+        """``c delta_0`` added in place, as one integer add; the box must hold the origin."""
+        self.nums[tuple(-low for low in self.lo)] += c * self.den
+        return self
 
     def measure(self, like: "AtomicMeasure", scale=1) -> "AtomicMeasure":
-        """``scale`` times this value, as a measure of ``like``'s dimension and mode."""
+        """``scale`` times this exact value, as a measure of ``like``'s dimension."""
         num, den = scale.as_integer_ratio()
         den *= self.den
         cells = np.flatnonzero(self.nums)
         points = _cell_points(cells, self.lo, _strides(self.nums.shape))
         nums = self.nums.ravel()[cells].tolist()
         return like._with_atoms({p: Fraction(n * num, den) for p, n in zip(points, nums)})
+
+    def signal(self, like: GridSignal) -> GridSignal:
+        """This value as a signal on the grid from ``lo`` with ``like``'s spacing and mode."""
+        out = self.nums
+        if like.mode == EXACT:
+            out = np.array([Fraction(n, self.den) for n in out.ravel().tolist()],
+                           dtype=object).reshape(out.shape)
+        return GridSignal._own(out, like.spacing, tuple(map(float, self.lo)))
+
+
+def _horner(x: _Dense, coeffs) -> _Dense:
+    """``sum_k coeffs[k] x^{*k}`` for exact x, by Horner's rule (Knuth, TAOCP 4.6.4).
+
+    Each degree is one convolution with x and, for a nonzero coefficient,
+    one integer add at the origin, which x's box must then hold.
+    """
+    value = _Dense((0,) * len(x.lo), np.full((1,) * len(x.lo), coeffs[-1], dtype=object), 1)
+    for c in reversed(coeffs[:-1]):
+        value = value.convolve(x)
+        if c:
+            value.add_unit(c)
+    return value
 
 
 def _dense_powers(m: "AtomicMeasure") -> bool:
@@ -446,11 +451,7 @@ class AtomicMeasure:
         if n < 0:
             raise ValueError("convolution powers need n >= 0")
         if n and _dense_powers(self):
-            taps = _taps(self)
-            power = _Dense.unit(self._dimension)
-            for _ in range(n):
-                power = power.convolve(taps)
-            return power.measure(self)
+            return _horner(_Dense.of(self), [0] * n + [1]).measure(self)
         result = AtomicMeasure.unit(self._dimension, self._mode)
         for _ in range(n):
             result = result.convolve(self)
@@ -553,6 +554,11 @@ def _window_and_tol(t: AtomicMeasure, other: AtomicMeasure, window, tol):
     return win, coerce_weight(tol, t.mode)
 
 
+def _residual(t: AtomicMeasure, v: AtomicMeasure) -> AtomicMeasure:
+    """``t * v - delta_0``, by carrying out the convolution."""
+    return t.convolve(v) - AtomicMeasure.unit(t.dimension, t.mode)
+
+
 def is_inverse(t: AtomicMeasure, v: AtomicMeasure, window, tol=None) -> InversionReport:
     """Check whether v inverts t on a window around the origin.
 
@@ -561,7 +567,7 @@ def is_inverse(t: AtomicMeasure, v: AtomicMeasure, window, tol=None) -> Inversio
     win, tol = _window_and_tol(t, v, window, tol)
     if not win.contains((0,) * t.dimension):
         raise ValueError("inverse checks need a window covering the origin")
-    residual = t.convolve(v) - AtomicMeasure.unit(t.dimension, t.mode)
+    residual = _residual(t, v)
     inside, outside = residual._split(win)
     max_inside = inside.max_abs_weight()
     return InversionReport(
@@ -600,13 +606,5 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
         raise ModeMismatch(f"signal mode {f.mode} does not match measure mode {m.mode}")
     if m.is_zero:
         return GridSignal._own(_zero_array(f.shape, f.mode), f.spacing, f.origin)
-    taps = _taps(m)
-    vf, df = _common_scale(f.values.ravel(), f.mode)
     with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
-        out = _shifted_sum(vf.reshape(f.shape), taps)
-    if f.mode == EXACT:
-        den = taps.den * df
-        out = np.array([Fraction(n, den) for n in out.ravel().tolist()],
-                       dtype=object).reshape(out.shape)
-    origin = tuple(float(o + lo) for o, lo in zip(f.lattice_origin(), taps.lo))
-    return GridSignal._own(out, f.spacing, origin)
+        return _Dense.of(f).convolve(_Dense.of(m)).signal(f)

@@ -15,12 +15,12 @@ the convolution, not by quoting the formula), and wrap the classic
 fixed-point iteration that computes ``nu_n * g`` one kernel application at
 a time.
 
-An exact series is built on one array: with ``mu = M / d`` (integer
-numerators over one denominator), ``nu_n`` is ``sum (-1)^k d^(n-k) M^{*k}``
-over ``d^n``, each power one integer convolution of the last.  Its atoms,
-the residual's and the kernel's ``1/c`` become ``Fraction``s once, at the
-end.  Float series, and exact ones whose atoms lie too far apart for an
-array over their box, take one ``convolve`` and one measure sum per term.
+An exact ``nu_n`` is the polynomial ``sum_k (-1)^k x^{*k}`` in x = mu on
+the kernel's box (the kernel's array less delta_0), by Horner's rule on
+integer numerators; it, the residual and the kernel's ``1/c`` become
+``Fraction``s once, at the end.  Float series, and exact ones whose atoms
+lie too far apart for an array over their box, take one ``convolve`` and
+one measure sum per term.
 """
 from __future__ import annotations
 
@@ -34,7 +34,8 @@ from .measures import (
     AtomicMeasure,
     _Dense,
     _dense_powers,
-    _taps,
+    _horner,
+    _residual,
     apply_to_signal,
     coerce_weight,
     dirac,
@@ -126,7 +127,7 @@ def _inverse(mu: AtomicMeasure, config: NeumannConfig,
         for k in range(1, n + 1):
             term = term.convolve(mu)
             nu = nu + (term if k % 2 == 0 else -term)
-        residual = kernel.convolve(nu) - unit
+        residual = _residual(kernel, nu)
         if scale != 1:
             nu = nu.scale(scale)
     return nu, NeumannReport(
@@ -142,24 +143,14 @@ def _dense_series(mu: AtomicMeasure, kernel: AtomicMeasure, n: int,
                   scale) -> tuple[AtomicMeasure, AtomicMeasure]:
     """``scale * nu_n`` and the residual ``kernel * nu_n - delta_0``, each on one array.
 
-    With ``mu = M / d``, ``nu_n = sum_k (-1)^k d^(n-k) M^{*k} / d^n``: each
-    integer power ``M^{*k}`` is one convolution of the last, added into the
-    sum at once, and the residual is that sum convolved with the kernel.
-    Only the two results become ``Fraction``s.
+    ``nu_n`` is the polynomial ``sum_k (-1)^k x^{*k}`` in x = mu on the
+    kernel's box (which holds the origin even when mu's atoms do not), by
+    :func:`measures._horner`; the residual is ``nu_n`` convolved with the
+    kernel, less delta_0.  Only the two results become ``Fraction``s.
     """
-    base, kern = _taps(mu), _taps(kernel)
-    d = base.den
-    # kernel^n's box holds every mu^k with k <= n, since the kernel's holds the origin
-    total = _Dense.zeros(tuple(n * c for c in kern.lo),
-                         tuple(n * (size - 1) + 1 for size in kern.shape), d ** n)
-    term = _Dense.unit(mu.dimension)
-    for k in range(n + 1):
-        if k:
-            term = term.convolve(base)
-        total.add(term, (-1) ** k * d ** (n - k))
-    residual = total.convolve(kern)
-    residual.add(_Dense.unit(mu.dimension), -residual.den)
-    return total.measure(mu, scale), residual.measure(mu)
+    kern = _Dense.of(kernel)
+    nu = _horner(_Dense.of(kernel).add_unit(-1), [(-1) ** k for k in range(n + 1)])
+    return nu.measure(mu, scale), nu.convolve(kern).add_unit(-1).measure(mu)
 
 
 def factor_at_origin(kernel: AtomicMeasure) -> tuple[Fraction | float, AtomicMeasure]:

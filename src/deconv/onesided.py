@@ -34,6 +34,7 @@ from .grids import EXACT, GridSignal
 from .measures import (
     AtomicMeasure,
     WindowSpec,
+    _residual,
     apply_to_signal,
     coerce_weight,
     from_atoms,
@@ -107,13 +108,12 @@ class TruncatedSeries:
         return min(max(abs(c) for c in p) for p in self.boundary)
 
     def residual(self) -> AtomicMeasure:
-        return self.kernel.convolve(self.measure) - AtomicMeasure.unit(
-            self.kernel.dimension, self.kernel.mode)
+        return _residual(self.kernel, self.measure)
 
 
 def _finish(measure: AtomicMeasure, kernel: AtomicMeasure, window: WindowSpec) -> TruncatedSeries:
-    resid = kernel.convolve(measure) - AtomicMeasure.unit(kernel.dimension, kernel.mode)
-    return TruncatedSeries(measure, kernel, window, tuple(sorted(resid.atoms)))
+    boundary = tuple(sorted(_residual(kernel, measure).atoms))
+    return TruncatedSeries(measure, kernel, window, boundary)
 
 
 def recognize_kernel(measure: AtomicMeasure) -> tuple[str, object, int]:

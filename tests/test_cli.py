@@ -398,6 +398,32 @@ def test_experiment_noise_gaussian_csv(tmp_path):
         assert 0.1 <= float(ratio) <= 10.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["deblur", "b.csv", "--method", "analytic", "--band-limit", "nan"],
+    ["deblur", "b.csv", "--method", "reciprocal", "--floor", "nan"],
+    ["experiment", "noise-gaussian", "--band-limit", "nan"],
+], ids=["analytic-band", "reciprocal-floor", "noise-gaussian-band"])
+def test_nan_spectral_parameters_are_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    dio.write_signal_csv("b.csv", two_bump_signal())
+    assert main(argv + ["-o", "out.csv"]) == 4
+    assert not (tmp_path / "out.csv").exists()
+    assert "must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["growth", "noise-lateral"])
+@pytest.mark.parametrize("ladder", [
+    ["--n-step", "0"],
+    ["--n-step", "-5"],
+    ["--n-from", "20", "--n-to", "10"],
+], ids=["step-zero", "step-negative", "from-past-to"])
+def test_experiment_ladder_is_validated(tmp_path, capsys, name, ladder):
+    out = tmp_path / "x.csv"
+    assert main(["experiment", name, "-o", str(out)] + ladder) == 2
+    assert not out.exists()
+    assert "--n-step >= 1 and --n-from <= --n-to" in capsys.readouterr().err
+
+
 def test_experiment_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["experiment", "noise-gaussian", "--sigma", "1e-10", "--seed", "42"]

@@ -9,6 +9,7 @@ oracle's order too; exact series list theirs by position.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from deconv import (
     from_atoms,
     neumann_inverse,
 )
+from deconv.measures import _dense_powers
 from deconv.neumann import factor_at_origin, neumann
 
 NARROW = st.integers(-6, 6)
@@ -256,6 +258,28 @@ def test_power_matches_oracle(case):
     m, order = case
     n = order % 9
     assert series_view(m.power(n)) == series_view(oracle.power(m, n))
+
+
+ONE_SIDED = {
+    "right": {1: Fraction(1, 3)},
+    "2d-corner": {(1, 2): Fraction(1, 4)},
+    "right-gap": {2: Fraction(1, 5), 5: Fraction(-1, 7)},
+    "origin-and-right": {0: Fraction(1, 3), 1: Fraction(1, 5)},
+    "left": {-3: Fraction(2, 9)},
+}
+
+
+@pytest.mark.parametrize("order", (0, 1, 5, 17))
+@pytest.mark.parametrize("name", sorted(ONE_SIDED))
+def test_series_of_one_sided_mu_match_oracle(name, order):
+    """mu's atoms on one side of the origin: the series' origin adds land on
+    the kernel's box, not on mu's, a case the drawn mu reach only by chance."""
+    mu = from_atoms(ONE_SIDED[name])
+    assert _dense_powers(AtomicMeasure.unit(mu.dimension) + mu)
+    config = NeumannConfig(order=order)
+    assert report_view(neumann_inverse(mu, config)) == \
+        report_view(oracle.neumann_inverse(mu, config))
+    assert series_view(mu.power(order)) == series_view(oracle.power(mu, order))
 
 
 def test_float_power_keeps_convolve_sums():
