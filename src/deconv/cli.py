@@ -5,10 +5,14 @@ or raw float grids.  Every file writer starts its output with
 '#'-prefixed key=value lines echoing the resolved configuration, and a
 rerun with identical arguments and inputs produces identical bytes.
 
-Exit codes: 0 success (for verify: inverse confirmed), 1 verify found a
-residual above tolerance, 2 parse or usage trouble, 3 dimension or mode
-mismatch, 4 violated precondition or a float result past float64 (inf or
-NaN), 5 insufficient truncation margin.
+The front end only parses and dispatches: each ``_cmd_*`` reads its
+inputs, calls the library, computes every number it reports, and writes
+its output files last, through ``io``.  Exit codes: 0 success (for
+verify: inverse confirmed), 1 verify found a residual above tolerance,
+2 usage trouble or an unreadable file, and otherwise the ``exit_code`` of
+the ``DeconvError`` that refused the run (2 parse error, 3 dimension or
+mode mismatch, 4 violated precondition or a float result past float64,
+5 insufficient truncation margin).
 """
 from __future__ import annotations
 
@@ -20,20 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import io as dio
-from .errors import (
-    DimensionMismatch,
-    FormatError,
-    GridTooCoarse,
-    GridTooNarrow,
-    InsufficientTruncation,
-    ModeMismatch,
-    NonFiniteResult,
-    NormNotLessThanOne,
-    OrderCapExceeded,
-    ParameterOutOfRange,
-    ReciprocalUnderflow,
-    UnsupportedKernel,
-)
+from .errors import DeconvError, UnsupportedKernel
 from .gaussian import (
     DEFAULT_RECIPROCAL_FLOOR,
     blur,
@@ -108,14 +99,6 @@ def _fmt(value) -> str:
 
 def _echo(settings: dict) -> tuple[str, ...]:
     return tuple(f"{k}={_fmt(v)}" for k, v in sorted(settings.items()))
-
-
-def _write_rows(path, header: tuple[str, ...], columns: tuple[str, ...], rows) -> None:
-    lines = [f"# {h}" for h in header]
-    lines.append(",".join(columns))
-    lines.extend(",".join(cells) for cells in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _usage(message: str) -> int:
@@ -199,9 +182,9 @@ def _cmd_invert(args) -> int:
 def _cmd_blur(args) -> int:
     signal = dio.load_signal(args.input, FLOAT)
     out = blur(signal)
-    header = _echo({"command": "blur", "input": args.input})
-    dio.save_signal(args.output, out, header)
-    print(f"shape={'x'.join(str(n) for n in out.shape)} mass={repr(out.mass())}")
+    summary = f"shape={'x'.join(str(n) for n in out.shape)} mass={repr(out.mass())}"
+    dio.save_signal(args.output, out, _echo({"command": "blur", "input": args.input}))
+    print(summary)
     return 0
 
 
@@ -249,18 +232,16 @@ def _cmd_deblur(args) -> int:
                    f" suppressed_bins={diag.suppressed_bins}")
     else:  # pragma: no cover - argparse restricts choices
         return _usage(f"unknown method {method}")
-    dio.save_signal(args.output, out, _echo(settings))
     if args.reference:
-        reference = dio.load_signal(args.reference, out.mode)
-        diff = out - reference
+        diff = out - dio.load_signal(args.reference, out.mode)
         max_err = diff.max_abs()
         l2_err = diff.l2_norm()
         summary += f" max_err={repr(max_err)} l2_err={repr(l2_err)}"
-        if args.metrics:
-            settings.update(reference=args.reference)
-            _write_rows(args.metrics, _echo(settings),
-                        ("method", "params", "max_err", "l2_err"),
-                        [(method, params, repr(max_err), repr(l2_err))])
+    dio.save_signal(args.output, out, _echo(settings))
+    if args.metrics:
+        settings.update(reference=args.reference)
+        dio.write_text(args.metrics, _echo(settings), [
+            "method,params,max_err,l2_err", f"{method},{params},{max_err!r},{l2_err!r}"])
     print(summary)
     return 0
 
@@ -314,7 +295,8 @@ def _cmd_experiment(args) -> int:
                    "observed_error", "ratio")
     else:  # pragma: no cover - argparse restricts choices
         return _usage(f"unknown experiment {name}")
-    _write_rows(args.output, _echo(settings), columns, rows)
+    dio.write_text(args.output, _echo(settings),
+                   [",".join(columns)] + [",".join(cells) for cells in rows])
     print(f"experiment={name} rows={len(rows)} output={args.output}")
     return 0
 
@@ -445,16 +427,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except FormatError as exc:
-        return _fail(2, exc)
-    except (DimensionMismatch, ModeMismatch) as exc:
-        return _fail(3, exc)
-    except InsufficientTruncation as exc:
-        return _fail(5, exc)
-    except (ParameterOutOfRange, NormNotLessThanOne, UnsupportedKernel,
-            OrderCapExceeded, GridTooCoarse, GridTooNarrow,
-            ReciprocalUnderflow, NonFiniteResult) as exc:
-        return _fail(4, exc)
+    except DeconvError as exc:
+        return _fail(exc.exit_code, exc)
     except OSError as exc:
         return _fail(2, exc)
     except ValueError as exc:

@@ -1,25 +1,36 @@
 """Exception types raised across the package.
 
-Grouping them in one module keeps the command line layer's exit-code
-mapping in a single place and spares the core modules from importing
-each other just to share an error class.
+Each class carries the ``exit_code`` that ``deconv`` returns when it
+refuses a run: 2 for a malformed file, 3 for mixed dimensions or
+arithmetic modes, 5 for too short a truncation, and 4 for every other
+refusal, inherited from :class:`DeconvError`.  Keeping the classes in one
+module also spares the core modules from importing each other just to
+share an error class.
 """
 
 
 class DeconvError(Exception):
     """Base class for all library-specific failures."""
 
+    exit_code = 4
+
 
 class DimensionMismatch(DeconvError):
     """Operands live on lattices or grids of different dimension."""
+
+    exit_code = 3
 
 
 class ModeMismatch(DeconvError):
     """Exact-rational and float64 operands were mixed in one operation."""
 
+    exit_code = 3
+
 
 class FormatError(DeconvError):
     """A serialized measure, signal, or image could not be parsed."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None, path: str | None = None):
         self.line = line
@@ -65,6 +76,8 @@ class UnsupportedKernel(DeconvError):
 
 class InsufficientTruncation(DeconvError):
     """The truncated series is too short for the requested reconstruction."""
+
+    exit_code = 5
 
     def __init__(self, message: str, required_halfwidth: int | None = None,
                  support_radius: int | None = None):

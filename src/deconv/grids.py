@@ -12,10 +12,14 @@ exist, mirroring the measure algebra:
 Signals are immutable: the public constructor copies the caller's array,
 a result the library computes owns the array made for it, and both are
 read-only.  An exact signal holds only ``Fraction`` values (integers are
-carried in as ``Fraction``); a float one holds no inf or NaN.
+carried in as ``Fraction``); a float one holds no inf or NaN.  The float
+summaries (``max_abs``, ``l2_norm``, ``mass``) refuse a value past float64
+with ``NonFiniteResult`` in both modes.
 """
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,6 +81,22 @@ def _placed(values: np.ndarray, offset, shape) -> np.ndarray:
         dst.append(slice(a, b))
     out[tuple(dst)] = values[tuple(src)]
     return out
+
+
+def _finite_summary(summary):
+    """A float summary that refuses a value past float64 (inf, NaN, or an
+    ``OverflowError`` on the way to it) with ``NonFiniteResult``."""
+    @functools.wraps(summary)
+    def checked(self) -> float:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = summary(self)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"{summary.__name__} of the signal overflows float64")
+        return value
+    return checked
 
 
 @dataclass(frozen=True)
@@ -294,6 +314,7 @@ class GridSignal:
 
     # --- summaries -----------------------------------------------------
 
+    @_finite_summary
     def max_abs(self) -> float:
         return float(self.max_abs_exact())
 
@@ -303,7 +324,9 @@ class GridSignal:
             return max((abs(v) for v in self.values.flat), default=Fraction(0))
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
+    @_finite_summary
     def l2_norm(self) -> float:
+        """Grid-weighted L2 norm; the squares are summed in float64."""
         cell = float(np.prod(self.spacing))
         if self.mode == EXACT:
             total = sum((float(v) ** 2 for v in self.values.flat), 0.0)
@@ -311,6 +334,7 @@ class GridSignal:
             total = float(np.sum(self.values * self.values))
         return (cell * total) ** 0.5
 
+    @_finite_summary
     def mass(self) -> float:
         cell = float(np.prod(self.spacing))
         if self.mode == EXACT:

@@ -14,7 +14,10 @@ Formats:
   descriptor.
 
 Writers emit keys in a fixed order and shortest-round-trip floats, so a
-rerun with the same inputs produces byte-identical files.
+rerun with the same inputs produces byte-identical files.  Every text
+file but the PGM raster goes through :func:`write_text`, which puts the
+``# key=value`` echo of a run's configuration first; the raster keeps its
+comments after the magic number, where the format wants them.
 """
 from __future__ import annotations
 
@@ -26,6 +29,18 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError
 from .grids import EXACT, FLOAT, GridSignal
 from .measures import AtomicMeasure, from_atoms
+
+# --- text files -------------------------------------------------------------
+
+
+def write_text(path, header: tuple[str, ...], lines) -> None:
+    """Write ``# `` echo lines for ``header``, then ``lines``, in UTF-8 with
+    ``\n`` endings; the text is formed before the file is opened."""
+    rows = [f"# {h}" for h in header] + list(lines)
+    text = "\n".join(rows) + "\n" if rows else ""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
 
 # --- measures ---------------------------------------------------------------
 
@@ -51,13 +66,10 @@ def parse_weight(token: str, mode: str):
 
 def write_measure(path, measure: AtomicMeasure, header: tuple[str, ...] = ()) -> None:
     lines = []
-    for text in header:
-        lines.append(f"# {text}")
     for point in sorted(measure.atoms):
         coords = " ".join(str(c) for c in point)
         lines.append(f"{coords} {format_weight(measure.atoms[point])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_text(path, header, lines)
 
 
 def read_measure(path, mode: str = EXACT) -> AtomicMeasure:
@@ -100,19 +112,15 @@ def read_measure(path, mode: str = EXACT) -> AtomicMeasure:
 def write_signal_csv(path, signal: GridSignal, header: tuple[str, ...] = ()) -> None:
     if signal.dimension != 1:
         raise FormatError("CSV serialization is for 1D signals; use PGM or raw for 2D")
-    lines = [f"# {text}" for text in header]
     if signal.is_lattice:
-        lines.append("index,value")
         lo = signal.lattice_origin()[0]
-        for i, v in enumerate(signal.values):
-            lines.append(f"{lo + i},{format_weight(v)}")
+        lines = ["index,value"] + [f"{lo + i},{format_weight(v)}"
+                                   for i, v in enumerate(signal.values)]
     else:
-        lines.append("x,value")
         xs = signal.axis_coordinates(0)
-        for x, v in zip(xs, signal.values):
-            lines.append(f"{repr(float(x))},{format_weight(v)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines = ["x,value"] + [f"{repr(float(x))},{format_weight(v)}"
+                               for x, v in zip(xs, signal.values)]
+    write_text(path, header, lines)
 
 
 def read_signal_csv(path, mode: str | None = None) -> GridSignal:
@@ -258,14 +266,12 @@ def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
         body = "\n".join(" ".join(str(c) for c in row) for row in counts)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(head) + "\n" + body + "\n")
-    meta = [
+    write_text(_meta_path(path), (), [
         f"spacing {repr(signal.spacing[0])} {repr(signal.spacing[1])}",
         f"origin {repr(signal.origin[0])} {repr(signal.origin[1])}",
         f"vmin {repr(vmin)}",
         f"vmax {repr(vmax)}",
-    ]
-    with open(_meta_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(meta) + "\n")
+    ])
 
 
 def _pgm_tokens(data: bytes, path: str):
@@ -364,13 +370,12 @@ def write_raw_grid(path, signal: GridSignal, header: tuple[str, ...] = ()) -> No
         raise FormatError("raw grids are float64 only")
     with open(path, "wb") as fh:
         fh.write(np.asarray(signal.values, dtype="<f8").tobytes(order="C"))
-    lines = [f"# {text}" for text in header]
-    lines.append("dtype float64-le")
-    lines.append("shape " + " ".join(str(n) for n in signal.shape))
-    lines.append("spacing " + " ".join(repr(s) for s in signal.spacing))
-    lines.append("origin " + " ".join(repr(o) for o in signal.origin))
-    with open(_desc_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(_desc_path(path), header, [
+        "dtype float64-le",
+        "shape " + " ".join(str(n) for n in signal.shape),
+        "spacing " + " ".join(repr(s) for s in signal.spacing),
+        "origin " + " ".join(repr(o) for o in signal.origin),
+    ])
 
 
 def read_raw_grid(path) -> GridSignal:

@@ -23,6 +23,7 @@ from deconv import (
     three_point_kernel,
     two_bump_signal,
 )
+from deconv import cli
 from deconv import io as dio
 from deconv.cli import main
 from deconv.neumann import factor_at_origin, van_cittert_deblur
@@ -40,11 +41,66 @@ def _rows(path):
             if line and not line.startswith("#")]
 
 
-def test_console_entry_point_exists():
-    out = subprocess.run([sys.executable, "-m", "deconv.cli", "--help"],
-                         capture_output=True, text=True)
+def _run_module(cwd, argv):
+    """``python -m deconv.cli argv`` in ``cwd``, with this package on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deconv.__file__)))
+    return subprocess.run([sys.executable, "-m", "deconv.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+
+def test_console_entry_point_exists(tmp_path):
+    out = _run_module(tmp_path, ["--help"])
     assert out.returncode == 0
     assert "convolve" in out.stdout
+
+
+def test_module_entry_point_returns_the_verify_verdict(tmp_path, three_point_file):
+    # the README walkthrough through ``cli.run``: confirmed exits 0, refuted exits 1
+    assert main(["invert", str(three_point_file), "-o", str(tmp_path / "inverse.txt"),
+                 "--method", "neumann", "--N", "8"]) == 0
+    argv = ["verify", "kernel.txt", "inverse.txt", "--window", "-8:8", "--tol"]
+    confirmed = _run_module(tmp_path, argv + ["1/19683"])
+    assert confirmed.returncode == 0
+    assert "ok=true max_inside=7/559872 " in confirmed.stdout
+    refuted = _run_module(tmp_path, argv + ["0"])
+    assert refuted.returncode == 1
+    assert "ok=false" in refuted.stdout
+
+
+# the exit codes the README lists; every other refusal exits 4
+DOCUMENTED_EXIT_CODES = {"FormatError": 2, "DimensionMismatch": 3, "ModeMismatch": 3,
+                         "InsufficientTruncation": 5}
+
+
+def test_every_exported_error_carries_its_documented_exit_code():
+    errors = {name: obj for name, obj in vars(deconv).items()
+              if isinstance(obj, type) and issubclass(obj, deconv.DeconvError)}
+    assert len(errors) == 13   # the base class and its twelve subclasses
+    for name, error in errors.items():
+        assert error.exit_code == DOCUMENTED_EXIT_CODES.get(name, 4), name
+
+
+def test_a_bare_deconv_error_in_a_command_exits_4(monkeypatch, capsys):
+    def refuse(args):
+        raise deconv.DeconvError("refused")
+    monkeypatch.setattr(cli, "_cmd_verify", refuse)
+    assert main(["verify", "k.txt", "i.txt", "--window", "0:1"]) == 4
+    assert capsys.readouterr().err == "error: refused\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "noise-gaussian", "--band-limit", "inf"],
+    ["deblur", "in.csv", "--method", "binomial", "--N", "12", "--window", "-4:4",
+     "--reference", "huge.csv"],
+], ids=["noise-gaussian-band-inf", "deblur-reference-past-float64"])
+def test_summaries_past_float64_print_only_the_refusal(tmp_path, argv):
+    (tmp_path / "in.csv").write_text("index,value\n0,1\n")
+    (tmp_path / "huge.csv").write_text("index,value\n0,1e400\n")
+    run = _run_module(tmp_path, argv + ["-o", "out.csv"])
+    assert run.returncode == 4
+    assert run.stderr.endswith(" of the signal overflows float64\n")
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_missing_subcommand_is_usage_error():
@@ -196,10 +252,7 @@ def test_fourier_steps_past_float64_print_only_the_refusal(tmp_path, rows, comma
     # and no numpy warning reaches stderr before the error line
     (tmp_path / "big.csv").write_text(
         "x,value\n" + "".join(f"{i / 10},1e308\n" for i in range(rows)))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(deconv.__file__)))
-    run = subprocess.run([sys.executable, "-m", "deconv.cli", command[0], "big.csv",
-                          "-o", "out.csv", *command[1:]], cwd=tmp_path,
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    run = _run_module(tmp_path, [command[0], "big.csv", "-o", "out.csv", *command[1:]])
     assert run.returncode == 4
     assert run.stderr == "error: signal samples must be finite\n"
     assert not (tmp_path / "out.csv").exists()
@@ -365,6 +418,10 @@ def test_experiment_noise_lateral_csv(tmp_path):
     assert first[0] == "10"
     assert int(first[1]) >= 10 - 4  # margin = N - 2s with s <= 2
     assert Fraction(first[2]) == Fraction(first[3]) == 2 * 10 * Fraction(1, 100)
+    # the README's row: seed 0 on -6:6 (radius 6) leaves margin 50 - 12 at N = 50
+    assert main(["experiment", "noise-lateral", "-o", str(out), "--window", "-6:6",
+                 "--n-from", "50", "--n-to", "50", "--sigma", "1/1000"]) == 0
+    assert _rows(out)[1:] == ["50,38,1/10,1/10"]
 
 
 def test_experiment_noise_lateral_takes_one_sigma(tmp_path, capsys):

@@ -183,6 +183,31 @@ def test_norms_use_cell_volume():
     assert g.l2_norm() == pytest.approx(3.5)
 
 
+@pytest.mark.parametrize("summary", ["max_abs", "l2_norm", "mass"])
+def test_summaries_past_float64_are_refused(summary):
+    # a sample past float64: exact arithmetic meets it converting to float
+    beyond = GridSignal.from_lattice_dict({(0,): 10 ** 400}, dimension=1)
+    with pytest.raises(NonFiniteResult, match=f"{summary} of the signal overflows float64"):
+        getattr(beyond, summary)()
+    # finite float samples whose sum or sum of squares leaves float64
+    big = GridSignal(np.array([1e308, 1e308]))
+    if summary == "max_abs":   # the largest of finite samples is finite
+        assert big.max_abs() == 1e308
+    else:
+        with pytest.raises(NonFiniteResult, match=summary):
+            getattr(big, summary)()
+
+
+def test_l2_norm_squares_in_float64_in_both_modes():
+    # the squares of 1e200 overflow, though the sample and its sum do not
+    exact = GridSignal.from_lattice_dict({(0,): 10 ** 200}, dimension=1)
+    floats = GridSignal(np.array([1e200]))
+    for f in (exact, floats):
+        assert f.mass() == 1e200 and f.max_abs() == 1e200
+        with pytest.raises(NonFiniteResult, match="l2_norm"):
+            f.l2_norm()
+
+
 def test_central_second_moment_matches_hand_value():
     f = GridSignal(np.array([1.0, 0.0, 1.0]), 1.0, -1.0)
     assert f.central_second_moment(0) == pytest.approx(1.0)

@@ -18,6 +18,8 @@ MEASURE = ["convolve", "in.txt", "in.txt", "-o", "out.txt"]
 INDEX_CSV = ["deblur", "in.csv", "-o", "out.csv", "--method", "binomial",
              "--N", "12", "--window", "-4:4"]
 X_CSV = ["blur", "in.csv", "-o", "out.csv"]
+REFERENCE = INDEX_CSV + ["--reference", "ref.csv"]
+ONE_ROW = "index,value\n0,1\n"
 PGM = ["blur", "in.pgm", "-o", "out.pgm"]
 RAW = ["blur", "in.f64", "-o", "out.f64"]
 
@@ -43,6 +45,11 @@ CORPUS = {
     "index-repeated": (INDEX_CSV, {"in.csv": "index,value\n0,1\n0,5\n"}, 2),
     "index-float-result-overflow": (INDEX_CSV + ["--mode", "float"],
                                     {"in.csv": "index,value\n" + "0,1e308\n1,1e308\n"}, 4),
+    # a reference is read before the deblurred output is written
+    "deblur-reference-missing": (REFERENCE, {"in.csv": ONE_ROW}, 2),
+    "deblur-reference-bad-value": (REFERENCE, {"in.csv": ONE_ROW,
+                                               "ref.csv": "index,value\n0,one\n"}, 2),
+    "deblur-reference-mode": (REFERENCE, {"in.csv": ONE_ROW, "ref.csv": "x,value\n0.0,1\n"}, 3),
     # CSV on a general grid
     "x-not-uniform": (X_CSV, {"in.csv": "x,value\n0.0,1\n0.1,1\n0.3,1\n"}, 2),
     "x-bad-abscissa": (X_CSV, {"in.csv": "x,value\nzero,1\n"}, 2),

@@ -1,7 +1,5 @@
 """Truncated one-sided and two-sided series inverses on the line."""
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +29,6 @@ from deconv import (
     unit_pair_inverse,
 )
 from deconv.onesided import recognize_kernel
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _atoms(series):
@@ -176,16 +172,6 @@ def test_reconstruct_margin_failure():
     # one more than twice the radius is enough
     rec, _ = reconstruct(f, binomial_kernel(), binomial_inverse(13))
     assert rec.lattice_equal(f)
-
-
-def test_margin_demo_script_recovers_exactly(capsys):
-    spec = importlib.util.spec_from_file_location("margin_demo", SCRIPTS / "margin_demo.py")
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
-    assert demo.main(["--radius", "3", "--N", "9"]) == 0
-    out = capsys.readouterr().out
-    assert "exact recovery: True" in out
-    assert "half-pair: eps 1/1000 moves the reconstruction by 1/1000" in out
 
 
 def test_reconstruct_rejects_mismatched_kernel():
