@@ -7,7 +7,9 @@ rerun with identical arguments and inputs produces identical bytes.
 
 The front end only parses and dispatches: each ``_cmd_*`` reads its
 inputs, calls the library, computes every number it reports, and writes
-its output files last, through ``io``.  Exit codes: 0 success (for
+its output files last, through ``io``.  The series of ``invert`` come from
+``onesided.inverse``, and ``deblur`` applies its series through
+``onesided.apply_on_window``.  Exit codes: 0 success (for
 verify: inverse confirmed), 1 verify found a residual above tolerance,
 2 usage trouble or an unreadable file, and otherwise the ``exit_code`` of
 the ``DeconvError`` that refused the run (2 parse error, 3 dimension or
@@ -24,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import io as dio
-from .errors import DeconvError, UnsupportedKernel
+from .errors import DeconvError
 from .gaussian import (
     DEFAULT_RECIPROCAL_FLOOR,
     blur,
@@ -33,12 +35,7 @@ from .gaussian import (
     two_bump_signal,
 )
 from .grids import EXACT, FLOAT, GridSignal
-from .measures import (
-    AtomicMeasure,
-    apply_to_signal,
-    from_atoms,
-    is_inverse,
-)
+from .measures import is_inverse
 from .neumann import (
     NeumannConfig,
     factor_at_origin,
@@ -48,18 +45,15 @@ from .neumann import (
 )
 from .onesided import (
     Side,
-    _require_margin,
+    apply_on_window,
     binomial_inverse,
     binomial_kernel,
     growth_table,
     half_pair_inverse,
+    inverse,
     perturbation_response,
-    recognize_kernel,
-    series_inverse,
-    symmetric_inverse,
 )
 
-_FAMILIES = {"binomial": ("binomial", 0), "halfpair": ("pair", 1)}  # (family, step)
 _SPECTRAL_METHODS = {
     "reciprocal": "discrete-reciprocal",
     "analytic": "analytic-amplifier",
@@ -106,18 +100,6 @@ def _usage(message: str) -> int:
     return 2
 
 
-def _apply_on_window(g: GridSignal, measure: AtomicMeasure, lo: int, hi: int) -> GridSignal:
-    """``apply_to_signal(g, measure).restrict((lo, hi))``, reading only the rows
-    the window needs: [lo - max atom, hi - min atom], within the input."""
-    (m_lo, m_hi), = measure.bounding_box()
-    g_lo = g.lattice_origin()[0]
-    a = max(lo - m_hi, g_lo)
-    b = min(hi - m_lo, g_lo + g.shape[0] - 1)
-    if a <= b:
-        g = g.restrict((a, b))
-    return apply_to_signal(g, measure).restrict((lo, hi))
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -158,20 +140,9 @@ def _cmd_invert(args) -> int:
         if args.N is None:
             return _usage(f"--N is required for method {args.method}")
         settings.update(N=args.N)
-        if kernel.is_zero:
-            raise UnsupportedKernel("the zero kernel has no inverse")
-        # divide, not multiply by 1/lead: 49 * fl(1/49) != 1 would spoil a float unit kernel
-        lead = kernel.atoms[min(kernel.atoms)]
-        unit = from_atoms({p: w / lead for p, w in kernel.atoms.items()}, mode=mode)
         if args.method == "onesided":
             settings.update(side=args.side)
-            series = series_inverse(unit, Side(args.side), args.N)
-        elif recognize_kernel(unit)[::2] == _FAMILIES[args.method]:
-            series = symmetric_inverse(unit, args.N)
-        else:
-            raise UnsupportedKernel(
-                f"method {args.method} cannot invert atoms {sorted(kernel.atoms.items())}")
-        result = series.measure.scale(1 / lead)
+        series, result = inverse(kernel, args.method, args.N, Side(args.side))
         summary = (f"method={args.method} halfwidth={series.halfwidth}"
                    f" boundary_distance={series.boundary_distance()}")
     dio.write_measure(args.output, result, _echo(settings))
@@ -213,8 +184,7 @@ def _cmd_deblur(args) -> int:
         lo, hi = args.window
         series = binomial_inverse(args.N, mode=args.mode) if method == "binomial" \
             else half_pair_inverse(args.N, mode=args.mode)
-        _require_margin(series, max(abs(lo), abs(hi)))
-        out = _apply_on_window(g, series.measure, lo, hi)
+        out = apply_on_window(g, series, args.window)
         settings.update(N=args.N, window=f"{lo}:{hi}", mode=args.mode)
         params = f"N={args.N};window={lo}:{hi}"
         summary = f"method={method} halfwidth={args.N} window={lo}:{hi}"

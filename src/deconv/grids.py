@@ -326,13 +326,22 @@ class GridSignal:
 
     @_finite_summary
     def l2_norm(self) -> float:
-        """Grid-weighted L2 norm; the squares are summed in float64."""
+        """Grid-weighted L2 norm, its squares summed in float64; where that sum
+        overflows, the samples are first divided by the largest of them."""
         cell = float(np.prod(self.spacing))
+        try:
+            norm = (cell * self._sum_of_squares(1.0)) ** 0.5
+        except OverflowError:  # the float square of an exact sample
+            norm = math.inf
+        if norm != math.inf:
+            return norm
+        top = float(self.max_abs_exact())
+        return top * (cell * self._sum_of_squares(top)) ** 0.5
+
+    def _sum_of_squares(self, scale: float) -> float:
         if self.mode == EXACT:
-            total = sum((float(v) ** 2 for v in self.values.flat), 0.0)
-        else:
-            total = float(np.sum(self.values * self.values))
-        return (cell * total) ** 0.5
+            return sum(((float(v) / scale) ** 2 for v in self.values.flat), 0.0)
+        return float(np.sum((self.values / scale) ** 2))
 
     @_finite_summary
     def mass(self) -> float:

@@ -9,6 +9,10 @@ mean is another inverse, ``symmetric_inverse``; for the binomial kernel
 ``1/4 delta_{-1} + 1/2 delta_0 + 1/4 delta_1`` it has weight
 ``2|n| (-1)^(|n|+1)`` at n, and that linear growth is the whole story of
 the noise sensitivity quantified by ``perturbation_response``.
+``inverse`` is the one dispatch over these series: it divides a kernel by
+its lowest atom, checks it against the named unit kernels where the method
+names one, and divides the series by that atom again.  ``apply_on_window``
+applies a series on a lattice window under the margin rule.
 
 Everything here defaults to exact rational arithmetic so that "equals"
 means equals; the series of a float kernel is its exact series, rounded
@@ -116,26 +120,6 @@ def _finish(measure: AtomicMeasure, kernel: AtomicMeasure, window: WindowSpec) -
     return TruncatedSeries(measure, kernel, window, boundary)
 
 
-def recognize_kernel(measure: AtomicMeasure) -> tuple[str, object, int]:
-    """Name a kernel the series here can invert: ``(family, scale, step)``.
-
-    ``("pair", c, step)`` is ``c * (delta_0 + delta_step)`` with step +1 or
-    -1; ``("binomial", c, 0)`` is ``c`` times :func:`binomial_kernel`.
-    Anything else raises ``UnsupportedKernel``.
-    """
-    atoms = dict(measure.atoms)
-    for step in (1, -1):
-        if set(atoms) == {(0,), (step,)} and atoms[(0,)] == atoms[(step,)]:
-            return "pair", atoms[(0,)], step
-    if (set(atoms) == {(-1,), (0,), (1,)}
-            and atoms[(-1,)] == atoms[(1,)]
-            and atoms[(0,)] == 2 * atoms[(-1,)]):
-        return "binomial", 4 * atoms[(-1,)], 0
-    raise UnsupportedKernel(
-        "expected c*(d0 + d1), c*(d-1 + d0) or c*(1/4, 1/2, 1/4) on {-1, 0, 1}, "
-        f"got atoms {sorted(measure.atoms.items())}")
-
-
 def _ends(kernel: AtomicMeasure) -> tuple[int, int]:
     """Lowest and highest atom position of a nonzero 1D kernel."""
     if kernel.dimension != 1:
@@ -207,10 +191,37 @@ def symmetric_inverse(kernel: AtomicMeasure, halfwidth: int) -> TruncatedSeries:
 
 def unit_pair_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> TruncatedSeries:
     """First ``terms`` atoms of the one-sided inverse series of a unit pair kernel."""
-    if kernel.dimension == 1 and recognize_kernel(kernel)[:2] != ("pair", 1):
+    if kernel.dimension == 1 and kernel not in (pair_kernel(1), pair_kernel(-1)):
         raise UnsupportedKernel("expected delta_0 + delta_1 or delta_{-1} + delta_0, "
                                 f"got atoms {sorted(kernel.atoms.items())}")
     return series_inverse(kernel, side, terms)
+
+
+# the kernels the "binomial" and "halfpair" methods invert, divided by their lowest atom
+_NAMED_KERNELS = {"binomial": from_atoms({-1: 1, 0: 2, 1: 1}), "halfpair": pair_kernel(1)}
+
+
+def inverse(kernel: AtomicMeasure, method: str, terms: int,
+            side: Side = Side.RIGHT) -> tuple[TruncatedSeries, AtomicMeasure]:
+    """The series of ``kernel`` over its lowest atom (the lead), and that series over the lead.
+
+    ``"onesided"`` takes ``terms`` atoms of the ``side`` series of any 1D unit
+    kernel; ``"binomial"`` and ``"halfpair"`` take the symmetric inverse on
+    [-terms, terms] of the unit kernel named in ``_NAMED_KERNELS``.
+    """
+    if kernel.is_zero:
+        raise UnsupportedKernel("the zero kernel has no inverse")
+    # divide, not multiply by 1/lead: 49 * fl(1/49) != 1 would spoil a float unit kernel
+    lead = kernel.atoms[min(kernel.atoms)]
+    unit = from_atoms({p: w / lead for p, w in kernel.atoms.items()}, mode=kernel.mode)
+    if method == "onesided":
+        series = series_inverse(unit, side, terms)
+    elif unit == _NAMED_KERNELS.get(method):
+        series = symmetric_inverse(unit, terms)
+    else:
+        raise UnsupportedKernel(
+            f"method {method} cannot invert atoms {sorted(kernel.atoms.items())}")
+    return series, series.measure.scale(1 / lead)
 
 
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -279,6 +290,15 @@ def _require_margin(inverse: TruncatedSeries, radius: int) -> int | None:
             required_halfwidth=2 * radius + 3,
             support_radius=radius)
     return dist
+
+
+def apply_on_window(g: GridSignal, series: TruncatedSeries, window) -> GridSignal:
+    """``apply_to_signal(g, series.measure)`` on the window ``(lo, hi)``, under the
+    margin rule; it reads the rows [lo - max atom, hi - min atom], zero where g has none."""
+    lo, hi = window
+    _require_margin(series, max(abs(lo), abs(hi)))
+    (m_lo, m_hi), = series.measure.bounding_box()
+    return apply_to_signal(g.restrict((lo - m_hi, hi - m_lo)), series.measure).restrict(window)
 
 
 def _margin_of(f: GridSignal, kernel: AtomicMeasure,

@@ -1,18 +1,16 @@
 """Recorded `deconv invert` runs: exit code, stdout and output file bytes.
 
 Each run writes one kernel file into an empty directory and calls
-``deconv.cli.main`` there with relative paths, so the echoed header is the
-same on every machine.  ``tests/invert_golden.json`` holds the records;
-``tests/test_invert_golden.py`` replays them.  To rebuild the records:
+``deconv.cli.main`` there with relative paths (``cli_golden.run_in_dir``), so
+the echoed header is the same on every machine.  ``tests/invert_golden.json``
+holds the records; ``tests/test_invert_golden.py`` replays them.  To rebuild the records:
 
     PYTHONPATH=src python3 tests/invert_golden.py
 """
-import contextlib
-import io
 import json
-import os
-import tempfile
 from pathlib import Path
+
+from cli_golden import run_in_dir
 
 GOLDEN = Path(__file__).with_name("invert_golden.json")
 
@@ -58,21 +56,9 @@ def cases():
 
 def run(text, argv) -> dict:
     """Exit code, stdout and output file (None if absent) of one run."""
-    from deconv.cli import main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cwd = os.getcwd()
-        os.chdir(tmp)
-        try:
-            Path("kernel.txt").write_text(text, encoding="utf-8")
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv)
-            written = Path("out.txt")
-            body = written.read_text(encoding="utf-8") if written.exists() else None
-        finally:
-            os.chdir(cwd)
-    return {"exit": code, "stdout": out.getvalue(), "output": body}
+    code, stdout, written = run_in_dir({"kernel.txt": text}, argv)
+    body = written["out.txt"].decode("utf-8") if "out.txt" in written else None
+    return {"exit": code, "stdout": stdout, "output": body}
 
 
 def record() -> dict:

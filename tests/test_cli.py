@@ -89,10 +89,9 @@ def test_a_bare_deconv_error_in_a_command_exits_4(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["experiment", "noise-gaussian", "--band-limit", "inf"],
     ["deblur", "in.csv", "--method", "binomial", "--N", "12", "--window", "-4:4",
      "--reference", "huge.csv"],
-], ids=["noise-gaussian-band-inf", "deblur-reference-past-float64"])
+], ids=["deblur-reference-past-float64"])
 def test_summaries_past_float64_print_only_the_refusal(tmp_path, argv):
     (tmp_path / "in.csv").write_text("index,value\n0,1\n")
     (tmp_path / "huge.csv").write_text("index,value\n0,1e400\n")
@@ -101,6 +100,23 @@ def test_summaries_past_float64_print_only_the_refusal(tmp_path, argv):
     assert run.stderr.endswith(" of the signal overflows float64\n")
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv,summary", [
+    (["experiment", "noise-gaussian", "--band-limit", "inf"], "rows=1 output=out.csv"),
+    (["deblur", "in.csv", "--method", "binomial", "--N", "12", "--window", "-4:4",
+      "--mode", "float", "--reference", "big.csv"], "max_err=1e+200 l2_err=1e+200"),
+], ids=["noise-gaussian-band-inf", "deblur-reference-1e200"])
+def test_norms_whose_squares_overflow_are_reported(tmp_path, argv, summary):
+    # the squares of the samples overflow float64, their norm does not
+    (tmp_path / "in.csv").write_text("index,value\n0,1\n")
+    (tmp_path / "big.csv").write_text("index,value\n0,1e200\n")
+    run = _run_module(tmp_path, argv + ["-o", "out.csv"])
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.endswith(f" {summary}\n")
+    if argv[0] == "experiment":
+        *_, err, ratio = _rows(tmp_path / "out.csv")[-1].split(",")
+        assert 1e280 < float(err) < 1e300 and 0.1 <= float(ratio) <= 10.0
 
 
 def test_missing_subcommand_is_usage_error():
@@ -308,6 +324,23 @@ def test_deblur_vancittert_float_uses_the_shared_origin_factoring(tmp_path):
     center, mu = factor_at_origin(three_point_kernel(a, mode=FLOAT))
     want = van_cittert_deblur(g.scaled(1 / center), mu, 6)[-1]
     assert dio.read_signal_csv(out, FLOAT).values.tolist() == want.values.tolist()
+
+
+@pytest.mark.parametrize("method", ["binomial", "halfpair"])
+@pytest.mark.parametrize("flags,message", [
+    (["--window", "-3:3"], "--N is required"),
+    (["--N", "7"], "--window is required"),
+    (["--N", "7", "--window", "0:x"], "window bounds must be integers"),
+    (["--N", "7", "--window", "1.5:3"], "window bounds must be integers"),
+    (["--N", "7", "--window", "3:-3"], "has lo > hi"),
+], ids=["no-N", "no-window", "window-x", "window-float", "window-reversed"])
+def test_deblur_series_usage_errors_write_nothing(tmp_path, capsys, method, flags, message):
+    g = tmp_path / "g.csv"
+    g.write_text("index,value\n0,1\n")
+    out = tmp_path / "o.csv"
+    assert main(["deblur", str(g), "-o", str(out), "--method", method, *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_deblur_vancittert_needs_a(tmp_path):

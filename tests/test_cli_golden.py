@@ -1,0 +1,47 @@
+"""Every `deconv` command replays its recorded runs byte for byte.
+
+``cli_golden.json`` holds exit code, stdout and output files of every run
+in ``cli_golden.cases()``, recorded before ``GridSignal.l2_norm`` took norms
+whose squares overflow.  Every run must still match, except the ones in
+``MOVED``, whose new exit code is checked instead, together with whether
+they write files: a reference of 1e200 now scores (exit 0) where it was
+refused (exit 4).  Records rebuilt on the present code take the moved runs
+in; ``MOVED`` is then empty.
+
+Spectral runs are compared in full only under the numpy version that wrote
+the record; under another one, pocketfft may round differently, so only
+their exit code and the names of the files they write are compared.
+"""
+import json
+
+import numpy as np
+import pytest
+
+import cli_golden as golden
+
+RECORD = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+RUNS = RECORD["runs"]
+MOVED = {"deblur/binomial-huge-reference/float": 0}
+COMMANDS = sorted({name.split("/", 1)[0] for name in RUNS})
+
+
+def test_records_cover_every_case():
+    assert sorted(RUNS) == sorted(name for name, _, _, _ in golden.cases())
+    assert all(RUNS[name]["exit"] != MOVED[name] for name in MOVED)
+
+
+def _matches(name, got, spectral) -> bool:
+    want = RUNS[name]
+    if name in MOVED:
+        return got["exit"] == MOVED[name] and bool(got["files"]) == (got["exit"] == 0)
+    if spectral and np.__version__ != RECORD["numpy"]:
+        return got["exit"] == want["exit"] and sorted(got["files"]) == sorted(want["files"])
+    return got == {key: want[key] for key in got}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_matches_its_record(command):
+    changed = [name for name, inputs, argv, spectral in golden.cases()
+               if name.startswith(f"{command}/")
+               and not _matches(name, golden.run(inputs, argv, spectral), spectral)]
+    assert changed == []

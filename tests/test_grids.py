@@ -193,17 +193,24 @@ def test_summaries_past_float64_are_refused(summary):
     big = GridSignal(np.array([1e308, 1e308]))
     if summary == "max_abs":   # the largest of finite samples is finite
         assert big.max_abs() == 1e308
+    elif summary == "l2_norm":  # and so is their norm, sqrt(2) * 1e308
+        assert big.l2_norm() == 1e308 * 2 ** 0.5
     else:
         with pytest.raises(NonFiniteResult, match=summary):
             getattr(big, summary)()
 
 
 def test_l2_norm_squares_in_float64_in_both_modes():
-    # the squares of 1e200 overflow, though the sample and its sum do not
+    # the squares of 1e200 overflow, though the sample and its norm do not
     exact = GridSignal.from_lattice_dict({(0,): 10 ** 200}, dimension=1)
     floats = GridSignal(np.array([1e200]))
     for f in (exact, floats):
         assert f.mass() == 1e200 and f.max_abs() == 1e200
+        assert f.l2_norm() == 1e200
+    # a norm past float64 is still refused, though every sample is finite
+    big = Fraction(3, 2) * 10 ** 308
+    for f in (GridSignal.from_lattice_dict({(0,): big, (1,): big}, dimension=1),
+              GridSignal(np.array([1.5e308, 1.5e308]))):
         with pytest.raises(NonFiniteResult, match="l2_norm"):
             f.l2_norm()
 

@@ -151,6 +151,18 @@ def test_apply_to_signal_examples():
     assert blurred.lattice_dict() == {(0, -1): Fraction(2), (0, 1): Fraction(2)}
 
 
+def test_apply_to_signal_refusals():
+    f = GridSignal.from_lattice_dict({(0,): 1}, dimension=1)
+    with pytest.raises(TypeError):
+        apply_to_signal({(0,): 1}, dirac(0, 1))
+    with pytest.raises(ValueError, match="unit-spacing"):
+        apply_to_signal(GridSignal([1.0, 2.0], 0.5), dirac(0, 1, mode=FLOAT))
+    with pytest.raises(DimensionMismatch):
+        apply_to_signal(f, dirac((0, 0), 1))
+    with pytest.raises(ModeMismatch):
+        apply_to_signal(f, dirac(0, 1, mode=FLOAT))
+
+
 def test_apply_to_signal_zero_measure():
     f = GridSignal.from_lattice_dict({(2,): 1}, dimension=1)
     out = apply_to_signal(f, from_atoms([], dimension=1))

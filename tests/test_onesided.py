@@ -15,6 +15,7 @@ from deconv import (
     ParameterOutOfRange,
     Side,
     UnsupportedKernel,
+    apply_to_signal,
     binomial_inverse,
     binomial_kernel,
     cauchy_product,
@@ -26,9 +27,11 @@ from deconv import (
     pair_kernel,
     perturbation_response,
     reconstruct,
+    series_inverse,
+    symmetric_inverse,
     unit_pair_inverse,
 )
-from deconv.onesided import recognize_kernel
+from deconv.onesided import apply_on_window, inverse
 
 
 def _atoms(series):
@@ -83,27 +86,66 @@ def test_unit_pair_inverse_guards():
         unit_pair_inverse(dirac((0, 0), 1), Side.RIGHT, 3)
 
 
+UNIT_KERNELS = {"binomial": {-1: 1, 0: 2, 1: 1}, "halfpair": {0: 1, 1: 1}}
+
+
+@pytest.mark.parametrize("atoms,named", [
+    ({0: 3, 1: 3}, "halfpair"),
+    ({-1: Fraction(5, 2), 0: Fraction(5, 2)}, None),  # a pair, but not delta_0 + delta_1
+    ({0: Fraction(1, 2), 1: Fraction(1, 2)}, "halfpair"),
+    ({-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}, "binomial"),
+    ({-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}, "binomial"),
+    ({0: 1, 1: 2}, None),                            # unequal pair
+    ({0: 1, 2: 1}, None),                            # not neighbours
+    ({-1: 1, 0: 1, 1: 1}, None),                     # flat, not binomial
+    ({-1: 1, 0: 2, 1: 3}, None),                     # lopsided
+    ({0: 1}, None),
+    ({(0, 0): 1, (0, 1): 1}, None),                  # 2D pair
+], ids=["3pair", "5/2pair-1", "halfpair", "2binomial", "binomial", "unequal", "gap", "flat",
+        "lopsided", "dirac", "2d"])
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_recognize_kernel_names_scaled_kernels(mode):
-    assert recognize_kernel(pair_kernel(1, mode=mode).scale(3)) == ("pair", 3, 1)
-    assert recognize_kernel(pair_kernel(-1, mode=mode).scale(Fraction(5, 2))) \
-        == ("pair", Fraction(5, 2), -1)
-    assert recognize_kernel(half_pair_kernel(mode=mode)) == ("pair", Fraction(1, 2), 1)
-    assert recognize_kernel(binomial_kernel(mode=mode).scale(2)) == ("binomial", 2, 0)
-    assert recognize_kernel(binomial_kernel(mode=mode)) == ("binomial", 1, 0)
+def test_inverse_takes_named_kernels_only(mode, atoms, named):
+    kernel = from_atoms(atoms, mode=mode)
+    for method in ("binomial", "halfpair"):
+        if method != named:
+            with pytest.raises(UnsupportedKernel):
+                inverse(kernel, method, 4)
+    if named is not None:
+        lead = kernel.atoms[min(kernel.atoms)]
+        series, measure = inverse(kernel, named, 4)
+        assert series.kernel == from_atoms(UNIT_KERNELS[named])
+        assert series.halfwidth == 4
+        assert measure == series.measure.scale(1 / lead)
+    if kernel.dimension == 2:
+        with pytest.raises(DimensionMismatch):
+            inverse(kernel, "onesided", 4)
 
 
-@pytest.mark.parametrize("atoms", [
-    {0: 1, 1: 2},                                    # unequal pair
-    {0: 1, 2: 1},                                    # not neighbours
-    {-1: 1, 0: 1, 1: 1},                             # flat, not binomial
-    {-1: 1, 0: 2, 1: 3},                             # lopsided
-    {0: 1},
-    {(0, 0): 1, (0, 1): 1},                          # 2D pair
-])
-def test_recognize_kernel_rejects(atoms):
-    with pytest.raises(UnsupportedKernel):
-        recognize_kernel(from_atoms(atoms))
+@pytest.mark.parametrize("build,dimension", [
+    (lambda k: series_inverse(k, Side.RIGHT, 3), 1),
+    (lambda k: series_inverse(k, Side.LEFT, 3), 1),
+    (lambda k: symmetric_inverse(k, 3), 1),
+    (lambda k: inverse(k, "onesided", 3), 2),   # the dispatch refuses it before
+    (lambda k: inverse(k, "binomial", 3), 2),   # any dimension check
+], ids=["right", "left", "symmetric", "dispatch-onesided", "dispatch-binomial"])
+def test_zero_kernel_has_no_series(build, dimension):
+    with pytest.raises(UnsupportedKernel, match="zero kernel"):
+        build(from_atoms([], dimension=dimension))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("first,last", [(-40, 40), (-3, 2), (30, 40)])
+def test_apply_on_window_is_the_full_apply_restricted(mode, first, last):
+    g = GridSignal.from_lattice_dict({(i,): i % 5 - 2 for i in range(first, last + 1)},
+                                     dimension=1, mode=mode)
+    series = binomial_inverse(11, mode=mode)
+    for window in ((-5, 5), (-4, -4), (1, 4)):
+        got = apply_on_window(g, series, window)
+        want = apply_to_signal(g, series.measure).restrict(window)
+        assert got.origin == want.origin
+        assert [repr(v) for v in got.values] == [repr(v) for v in want.values]
+    with pytest.raises(InsufficientTruncation):
+        apply_on_window(g, series, (-6, 0))
 
 
 def test_cauchy_product_interior_grows_linearly():
