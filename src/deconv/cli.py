@@ -5,6 +5,9 @@ or raw float grids.  Every file writer starts its output with
 '#'-prefixed key=value lines echoing the resolved configuration, and a
 rerun with identical arguments and inputs produces identical bytes.
 
+The argparse tree is built once per process, on the first ``main`` call,
+and reused; each call picks its ``_cmd_*`` by the command's name.
+
 The front end only parses and dispatches: each ``_cmd_*`` reads its
 inputs, calls the library, computes every number it reports, and writes
 its output files last, through ``io``.  The series of ``invert`` come from
@@ -19,6 +22,7 @@ mode mismatch, 4 violated precondition or a float result past float64,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -286,8 +290,9 @@ def _cmd_verify(args) -> int:
 
 # --- parser and dispatch ----------------------------------------------------
 
-# lets window values like "-8:8" pass as arguments instead of option lookalikes
-_NEGATIVE_TOKEN = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+:-?\d+$")
+# lets every token that starts "-" and a digit or "." ("-8:8", "-3.5:3", "-3:x")
+# pass as a value for its option to check; no deconv option looks like that
+_NEGATIVE_TOKEN = re.compile(r"^-[\d.]")
 
 
 def _new_command(sub, name: str, **kwargs) -> argparse.ArgumentParser:
@@ -301,6 +306,7 @@ def _add_mode(parser) -> None:
                         help="arithmetic for weights (default exact rationals)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deconv",
@@ -314,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("rhs")
     p.add_argument("-o", "--output", required=True)
     _add_mode(p)
-    p.set_defaults(func=_cmd_convolve)
 
     p = _new_command(sub, "invert", help="write a truncated inverse of a kernel")
     p.add_argument("kernel")
@@ -329,12 +334,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("right", "left"), default="right",
                    help="support side for the one-sided series")
     _add_mode(p)
-    p.set_defaults(func=_cmd_invert)
 
     p = _new_command(sub, "blur", help="gaussian-blur a float signal or image")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_blur)
 
     p = _new_command(sub, "deblur", help="invert a blur by series, iteration, "
                                       "or spectral division")
@@ -357,7 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None,
                    help="write a method,params,max_err,l2_err CSV here")
     _add_mode(p)
-    p.set_defaults(func=_cmd_deblur)
 
     p = _new_command(sub, "experiment", help="reproduce a numbered study as CSV")
     p.add_argument("name", choices=("growth", "noise-lateral", "noise-gaussian"))
@@ -372,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="frequency cutoff; repeatable for noise-gaussian")
     p.add_argument("--window", type=_window_arg, default=None,
                    help="support window for noise-lateral (default -3:3)")
-    p.set_defaults(func=_cmd_experiment)
 
     p = _new_command(sub, "verify", help="check one measure inverts another "
                                       "on a window")
@@ -381,22 +382,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window_arg, required=True)
     p.add_argument("--tol", default=None)
     _add_mode(p)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except DeconvError as exc:
         return _fail(exc.exit_code, exc)
     except OSError as exc:

@@ -13,22 +13,34 @@ Formats:
 * float grids: raw little-endian float64 next to a ``<file>.desc`` text
   descriptor.
 
+Each format has one reader.  The measure and CSV readers read the file
+once, split it into lines on ``"\\n"`` and each line into fields, then
+convert whole columns (``int``, ``float`` or ``Fraction`` over a column,
+one finiteness check for float weights).  Line numbers are counted only
+when a column fails: the rows are then checked one by one by the same
+single-token rules, and the first row refused names its line in the
+``FormatError``, as a line-by-line reader would.
+
 Writers emit keys in a fixed order and shortest-round-trip floats, so a
-rerun with the same inputs produces byte-identical files.  Every text
+rerun with the same inputs produces byte-identical files.  A weight
+becomes text by one rule per mode (``str`` of a ``Fraction``, ``repr`` of
+a float), which ``format_weight`` and the column writers share.  Every text
 file but the PGM raster goes through :func:`write_text`, which puts the
 ``# key=value`` echo of a run's configuration first; the raster keeps its
 comments after the magic number, where the format wants them.
 """
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError
-from .grids import EXACT, FLOAT, GridSignal
-from .measures import AtomicMeasure, from_atoms
+from .grids import EXACT, FLOAT, GridSignal, _zero_array
+from .measures import AtomicMeasure, _from_columns
 
 # --- text files -------------------------------------------------------------
 
@@ -42,68 +54,120 @@ def write_text(path, header: tuple[str, ...], lines) -> None:
         fh.write(text)
 
 
-# --- measures ---------------------------------------------------------------
+def _fields(path, split) -> list[list[str]]:
+    r"""``split`` of every line of a text file: its fields, or none to skip it.
+
+    Universal newlines make ``"\r\n"`` and ``"\r"`` into ``"\n"``, and the
+    text is split on ``"\n"`` alone: ``str.splitlines`` would also end a line
+    at ``"\x0b"``, ``"\x0c"`` or ``"\u2028"``, whitespace inside one.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        return list(map(split, fh.read().split("\n")))
+
+
+def _refuse_first(path, lines, check, after: int = 0) -> NoReturn:
+    """Raise the ``FormatError`` of the first line with fields past line
+    ``after`` that ``check`` refuses, with its path and line number.
+
+    A reader calls this where a column parse failed: the per-row rules then
+    name the line that a line-by-line reader would have refused first.
+    """
+    for lineno, row in enumerate(lines[after:], after + 1):
+        if row:
+            try:
+                check(row)
+            except FormatError as exc:
+                raise FormatError(exc.args[0], line=lineno, path=str(path)) from exc
+    raise AssertionError(f"{path}: a column parse failed where every row is good")
+
+
+# --- weights ----------------------------------------------------------------
+
+_WEIGHT_TEXT = {EXACT: str, FLOAT: float.__repr__}  # a weight of each mode as text
 
 
 def format_weight(w) -> str:
     if isinstance(w, Fraction):
-        return str(w)
-    return repr(float(w))
+        return _WEIGHT_TEXT[EXACT](w)
+    return _WEIGHT_TEXT[FLOAT](float(w))
+
+
+def _float_weight(token: str) -> float:
+    return float(Fraction(token)) if "/" in token else float(token)
+
+
+_WEIGHT_VALUE = {EXACT: Fraction, FLOAT: _float_weight}  # a weight token in each mode
+_BAD_TOKEN = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def parse_weight(token: str, mode: str):
     """A weight in the given mode; float weights must be finite."""
     try:
-        if mode == EXACT:
-            return Fraction(token)
-        value = float(Fraction(token)) if "/" in token else float(token)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        value = _WEIGHT_VALUE[mode](token)
+    except _BAD_TOKEN as exc:
         raise FormatError(f"bad weight {token!r}: {exc}") from exc
-    if not -float("inf") < value < float("inf"):  # false for nan as well
+    if mode == FLOAT and not math.isfinite(value):
         raise FormatError(f"bad weight {token!r}: not a finite float64")
     return value
 
 
+def _weights(tokens, mode: str) -> list:
+    """``parse_weight`` of every token, by one map and one finiteness check;
+    ``ValueError`` (or the error of the bad token) where one is refused."""
+    if mode == EXACT:
+        return list(map(Fraction, tokens))
+    try:
+        values = list(map(float, tokens))  # the float weights of tokens without a "/"
+    except ValueError:
+        values = list(map(_float_weight, tokens))
+    if not np.isfinite(values).all():
+        raise ValueError("a weight is not a finite float64")
+    return values
+
+
+# --- measures ---------------------------------------------------------------
+
+
 def write_measure(path, measure: AtomicMeasure, header: tuple[str, ...] = ()) -> None:
-    lines = []
-    for point in sorted(measure.atoms):
-        coords = " ".join(str(c) for c in point)
-        lines.append(f"{coords} {format_weight(measure.atoms[point])}")
-    write_text(path, header, lines)
+    text = _WEIGHT_TEXT[measure.mode]
+    row = "{} {}".format if measure.dimension == 1 else "{} {} {}".format
+    write_text(path, header, [row(*p, text(w)) for p, w in sorted(measure.atoms.items())])
+
+
+def _atom_fields(line: str) -> list[str]:
+    return line.split("#", 1)[0].split()
+
+
+def _check_atom(tokens, dimension: int, mode: str) -> None:
+    """Refuse an atom line the way the column parse of ``read_measure`` does."""
+    if len(tokens) not in (2, 3):
+        raise FormatError(f"expected '<i> <w>' or '<i> <j> <w>', got {len(tokens)} fields")
+    if len(tokens) - 1 != dimension:
+        raise FormatError(f"mixed {dimension}D and {len(tokens) - 1}D atom lines")
+    try:
+        for tok in tokens[:-1]:
+            int(tok)
+    except ValueError as exc:
+        raise FormatError(f"bad coordinate: {exc}") from exc
+    parse_weight(tokens[-1], mode)
 
 
 def read_measure(path, mode: str = EXACT) -> AtomicMeasure:
-    atoms = []
-    dimension = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            tokens = text.split()
-            if len(tokens) not in (2, 3):
-                raise FormatError(
-                    f"expected '<i> <w>' or '<i> <j> <w>', got {len(tokens)} fields",
-                    line=lineno, path=str(path))
-            d = len(tokens) - 1
-            if dimension is None:
-                dimension = d
-            elif dimension != d:
-                raise FormatError(
-                    f"mixed {dimension}D and {d}D atom lines", line=lineno, path=str(path))
-            try:
-                point = tuple(int(tok) for tok in tokens[:-1])
-            except ValueError as exc:
-                raise FormatError(f"bad coordinate: {exc}", line=lineno, path=str(path)) from exc
-            try:
-                weight = parse_weight(tokens[-1], mode)
-            except FormatError as exc:
-                raise FormatError(str(exc), line=lineno, path=str(path)) from exc
-            atoms.append((point, weight))
-    if dimension is None:
+    lines = _fields(path, _atom_fields)
+    rows = list(filter(None, lines))
+    if not rows:
         # an all-comment file is the zero measure on the line
         return AtomicMeasure(1, {}, mode)
-    return from_atoms(atoms, mode=mode, dimension=dimension)
+    dimension = len(rows[0]) - 1
+    try:
+        if dimension not in (1, 2) or set(map(len, rows)) != {dimension + 1}:
+            raise ValueError("atom lines of several lengths")
+        *coords, weights = zip(*rows)
+        points = list(zip(*(map(int, column) for column in coords)))
+        weights = _weights(weights, mode)
+    except _BAD_TOKEN:
+        _refuse_first(path, lines, lambda row: _check_atom(row, dimension, mode))
+    return _from_columns(dimension, mode, points, weights)
 
 
 # --- 1D signal CSV ----------------------------------------------------------
@@ -112,78 +176,89 @@ def read_measure(path, mode: str = EXACT) -> AtomicMeasure:
 def write_signal_csv(path, signal: GridSignal, header: tuple[str, ...] = ()) -> None:
     if signal.dimension != 1:
         raise FormatError("CSV serialization is for 1D signals; use PGM or raw for 2D")
+    values = map(_WEIGHT_TEXT[signal.mode], signal.values.tolist())
     if signal.is_lattice:
-        lo = signal.lattice_origin()[0]
-        lines = ["index,value"] + [f"{lo + i},{format_weight(v)}"
-                                   for i, v in enumerate(signal.values)]
+        lines = ["index,value"] + [f"{i},{v}" for i, v in
+                                   enumerate(values, signal.lattice_origin()[0])]
     else:
-        xs = signal.axis_coordinates(0)
-        lines = ["x,value"] + [f"{repr(float(x))},{format_weight(v)}"
-                               for x, v in zip(xs, signal.values)]
+        xs = signal.axis_coordinates(0).tolist()
+        lines = ["x,value"] + [f"{x!r},{v}" for x, v in zip(xs, values)]
     write_text(path, header, lines)
 
 
+def _csv_fields(line: str) -> list[str]:
+    text = line.strip()
+    return text.split(",") if text and text[0] != "#" else []
+
+
+def _check_two_fields(fields) -> None:
+    if len(fields) != 2:
+        raise FormatError(f"expected two fields, got {len(fields)}")
+
+
+def _check_row(fields, kind: str, mode: str, seen: set) -> None:
+    """Refuse a data row the way the column parse of ``read_signal_csv`` does."""
+    xtok, vtok = (t.strip() for t in fields)
+    try:
+        x = int(xtok) if kind == "index" else float(xtok)
+    except ValueError as exc:
+        raise FormatError(f"bad {'index' if kind == 'index' else 'abscissa'} {xtok!r}") from exc
+    if kind == "index" and x in seen:
+        raise FormatError(f"repeated index {x}")
+    seen.add(x)
+    parse_weight(vtok, mode)
+
+
 def read_signal_csv(path, mode: str | None = None) -> GridSignal:
-    rows = []
-    kind = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            if kind is None:
-                head = [t.strip().lower() for t in text.split(",")]
-                if head == ["index", "value"]:
-                    kind = "index"
-                elif head == ["x", "value"]:
-                    kind = "x"
-                else:
-                    raise FormatError(
-                        f"expected header 'index,value' or 'x,value', got {text!r}",
-                        line=lineno, path=str(path))
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"expected two fields, got {len(parts)}",
-                                  line=lineno, path=str(path))
-            rows.append((lineno, parts[0].strip(), parts[1].strip()))
-    if kind is None:
+    lines = _fields(path, _csv_fields)
+    rows = list(filter(None, lines))
+    if not rows:
         raise FormatError("missing header row", path=str(path))
+    head = next(n for n, row in enumerate(lines, 1) if row)
+    kind = {("index", "value"): "index", ("x", "value"): "x"}.get(
+        tuple(t.strip().lower() for t in rows[0]))
+    if kind is None:
+        text = ",".join(rows[0])
+        raise FormatError(f"expected header 'index,value' or 'x,value', got {text!r}",
+                          line=head, path=str(path))
+    rows = rows[1:]
+    if set(map(len, rows)) - {2}:
+        _refuse_first(path, lines, _check_two_fields, head)
     if not rows:
         raise FormatError("no data rows", path=str(path))
-    if mode is None:
-        mode = EXACT if kind == "index" else FLOAT
+    if kind == "x":
+        mode = FLOAT  # samples on a general grid are float in every mode
+    elif mode is None:
+        mode = EXACT
+    xtoks, vtoks = (list(map(str.strip, column)) for column in zip(*rows))
+    try:
+        xs = list(map(int if kind == "index" else float, xtoks))
+        if kind == "index" and len(set(xs)) < len(xs):
+            raise ValueError("repeated index")
+        values = _weights(vtoks, mode)
+    except _BAD_TOKEN:
+        seen = set()
+        _refuse_first(path, lines, lambda row: _check_row(row, kind, mode, seen), head)
     if kind == "index":
-        data = {}
-        for lineno, xtok, vtok in rows:
-            try:
-                idx = int(xtok)
-            except ValueError as exc:
-                raise FormatError(f"bad index {xtok!r}", line=lineno, path=str(path)) from exc
-            if idx in data:
-                raise FormatError(f"repeated index {idx}", line=lineno, path=str(path))
-            try:
-                data[idx] = parse_weight(vtok, mode)
-            except FormatError as exc:
-                raise FormatError(str(exc), line=lineno, path=str(path)) from exc
-        return GridSignal.from_lattice_dict(data, dimension=1, mode=mode)
-    xs = []
-    vs = []
-    for lineno, xtok, vtok in rows:
-        try:
-            xs.append(float(xtok))
-        except ValueError as exc:
-            raise FormatError(f"bad abscissa {xtok!r}", line=lineno, path=str(path)) from exc
-        try:
-            vs.append(parse_weight(vtok, FLOAT))
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno, path=str(path)) from exc
+        return _lattice_signal(xs, values, mode)
     if len(xs) == 1:
-        return GridSignal(np.asarray(vs), 1.0, xs[0])
+        return GridSignal._own(np.asarray(values), 1.0, xs[0])
     step = (xs[-1] - xs[0]) / (len(xs) - 1)  # endpoint fit beats the first gap
     if step <= 0 or not np.allclose(np.diff(xs), step, rtol=1e-6, atol=1e-12):
         raise FormatError("abscissas are not uniformly increasing", path=str(path))
-    return GridSignal(np.asarray(vs), float(step), xs[0])
+    return GridSignal._own(np.asarray(values), float(step), xs[0])
+
+
+def _lattice_signal(idx: list[int], values: list, mode: str) -> GridSignal:
+    """The lattice signal with ``values`` at the distinct indices ``idx`` and
+    zeros in the holes between; float samples are ``0.0 + v``, so ``-0.0``
+    reads as ``0.0``, as ``GridSignal.from_lattice_dict`` sums them."""
+    lo = min(idx)
+    samples = _zero_array((max(idx) - lo + 1,), mode)
+    samples[[i - lo for i in idx]] = values
+    if mode == FLOAT:
+        samples += 0.0
+    return GridSignal._own(samples, None, (float(lo),))
 
 
 # --- PGM images -------------------------------------------------------------

@@ -379,11 +379,7 @@ class AtomicMeasure:
         construction, so they skip the public constructor's per-atom checks;
         only the zero weights are pruned, and float ones checked finite, here.
         """
-        out = AtomicMeasure.__new__(AtomicMeasure)
-        out._dimension = self._dimension
-        out._mode = self._mode
-        out._atoms = _pruned(store, self._mode)
-        return out
+        return _checked(self._dimension, self._mode, store)
 
     def __add__(self, other):
         if not isinstance(other, AtomicMeasure):
@@ -476,6 +472,27 @@ class AtomicMeasure:
     @classmethod
     def unit(cls, dimension: int = 1, mode: str = EXACT) -> "AtomicMeasure":
         return cls(dimension, {(0,) * dimension: 1}, mode)
+
+
+def _checked(dimension: int, mode: str, store: dict) -> AtomicMeasure:
+    """The measure on ``store``, whose points and weights are in their form."""
+    out = AtomicMeasure.__new__(AtomicMeasure)
+    out._dimension = dimension
+    out._mode = mode
+    out._atoms = _pruned(store, mode)
+    return out
+
+
+def _from_columns(dimension: int, mode: str, points: list, weights: list) -> AtomicMeasure:
+    """The measure with ``weights[k]`` at ``points[k]``, both already in their
+    form (a reader's parsed columns): a repeated point takes the sum of its
+    weights in column order, as the public constructor sums them."""
+    store = dict(zip(points, weights))
+    if len(store) < len(points):
+        store = {}
+        for p, w in zip(points, weights):
+            store[p] = store[p] + w if p in store else w
+    return _checked(dimension, mode, store)
 
 
 def dirac(point=0, weight=1, *, mode: str = EXACT) -> AtomicMeasure:

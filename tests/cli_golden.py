@@ -2,9 +2,12 @@
 
 ``run_in_dir`` writes a run's input files into an empty directory and calls
 ``deconv.cli.main`` there with relative paths, so the echoed headers are the
-same on every machine; it returns the exit code, stdout and every file the
-run wrote.  The inputs are built here from integers and exact fractions
-only, never by deconv, so a change to a deconv writer cannot move them.
+same on every machine; it returns the exit code, stdout, every file the run
+wrote and stderr.  The inputs are built here from integers and exact
+fractions only, never by deconv, so a change to a deconv writer cannot move
+them.  The refusals of ``test_malformed_inputs.CORPUS`` are recorded too,
+as runs named ``refusal/<case>``; they alone keep their stderr, which pins
+the ``path:line: message`` text of every malformed-file refusal.
 
 ``tests/cli_golden.json`` holds the records together with the numpy version
 that wrote them; ``tests/test_cli_golden.py`` replays them.  Output files
@@ -29,9 +32,9 @@ import numpy as np
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 
-def run_in_dir(inputs: dict, argv) -> tuple[int, str, dict[str, bytes]]:
-    """Exit code, stdout and the files written by ``main(argv)`` in a directory
-    holding only ``inputs`` (file name -> text or bytes)."""
+def run_in_dir(inputs: dict, argv) -> tuple[int, str, dict[str, bytes], str]:
+    """Exit code, stdout, the files written and stderr of ``main(argv)`` in a
+    directory holding only ``inputs`` (file name -> text or bytes)."""
     from deconv.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -41,14 +44,14 @@ def run_in_dir(inputs: dict, argv) -> tuple[int, str, dict[str, bytes]]:
             for name, body in inputs.items():
                 data = body.encode("utf-8") if isinstance(body, str) else body
                 Path(name).write_bytes(data)
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
             written = {p.name: p.read_bytes() for p in sorted(Path().iterdir())
                        if p.name not in inputs}
         finally:
             os.chdir(cwd)
-    return code, out.getvalue(), written
+    return code, out.getvalue(), written, err.getvalue()
 
 
 # --- inputs -----------------------------------------------------------------
@@ -196,10 +199,17 @@ def _runs():
          "--band-limit", "3"], True
 
 
+REFUSAL = "refusal/"
+
+
 def cases():
     """(name, inputs, argv, spectral) for every recorded run."""
+    from test_malformed_inputs import CORPUS
+
     for name, files, argv, spectral in _runs():
         yield name, {f: INPUTS[f] for f in files}, argv, spectral
+    for case, (argv, files, _) in sorted(CORPUS.items()):
+        yield REFUSAL + case, files, argv, False
 
 
 def _stored(data: bytes, spectral: bool):
@@ -211,15 +221,19 @@ def _stored(data: bytes, spectral: bool):
     return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
-def run(inputs: dict, argv, spectral: bool) -> dict:
-    """Exit code, stdout and stored form of every output file of one run."""
-    code, stdout, written = run_in_dir(inputs, argv)
-    return {"exit": code, "stdout": stdout,
-            "files": {name: _stored(data, spectral) for name, data in written.items()}}
+def run(name: str, inputs: dict, argv, spectral: bool) -> dict:
+    """Exit code, stdout and stored form of every output file of one run, and
+    the stderr of a refusal."""
+    code, stdout, written, stderr = run_in_dir(inputs, argv)
+    got = {"exit": code, "stdout": stdout,
+           "files": {file: _stored(data, spectral) for file, data in written.items()}}
+    if name.startswith(REFUSAL):
+        got["stderr"] = stderr
+    return got
 
 
 def record() -> dict:
-    runs = {name: {"argv": argv, "spectral": spectral, **run(inputs, argv, spectral)}
+    runs = {name: {"argv": argv, "spectral": spectral, **run(name, inputs, argv, spectral)}
             for name, inputs, argv, spectral in cases()}
     return {"numpy": np.__version__, "runs": runs}
 

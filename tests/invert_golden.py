@@ -56,7 +56,7 @@ def cases():
 
 def run(text, argv) -> dict:
     """Exit code, stdout and output file (None if absent) of one run."""
-    code, stdout, written = run_in_dir({"kernel.txt": text}, argv)
+    code, stdout, written, _ = run_in_dir({"kernel.txt": text}, argv)
     body = written["out.txt"].decode("utf-8") if "out.txt" in written else None
     return {"exit": code, "stdout": stdout, "output": body}
 

@@ -333,7 +333,10 @@ def test_deblur_vancittert_float_uses_the_shared_origin_factoring(tmp_path):
     (["--N", "7", "--window", "0:x"], "window bounds must be integers"),
     (["--N", "7", "--window", "1.5:3"], "window bounds must be integers"),
     (["--N", "7", "--window", "3:-3"], "has lo > hi"),
-], ids=["no-N", "no-window", "window-x", "window-float", "window-reversed"])
+    (["--N", "7", "--window", "-3.5:3"], "window bounds must be integers, got '-3.5:3'"),
+    (["--N", "7", "--window", "-3:x"], "window bounds must be integers, got '-3:x'"),
+], ids=["no-N", "no-window", "window-x", "window-float", "window-reversed",
+        "window-negative-float", "window-negative-x"])
 def test_deblur_series_usage_errors_write_nothing(tmp_path, capsys, method, flags, message):
     g = tmp_path / "g.csv"
     g.write_text("index,value\n0,1\n")
@@ -488,6 +491,25 @@ def test_experiment_noise_gaussian_csv(tmp_path):
         assert 0.1 <= float(ratio) <= 10.0
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch):
+    """Repeatable options start empty on every call, and the command that
+    runs is the ``_cmd_*`` the module holds at that call."""
+    first, second = tmp_path / "two.csv", tmp_path / "default.csv"
+    assert main(["experiment", "noise-gaussian", "-o", str(first), "--sigma", "1e-6",
+                 "--sigma", "1e-3", "--band-limit", "4"]) == 0
+    assert main(["experiment", "noise-gaussian", "-o", str(second)]) == 0
+    assert [row.split(",")[:2] for row in _rows(first)[1:]] == \
+        [["4.0", "1e-06"], ["4.0", "0.001"]]
+    assert [row.split(",")[:2] for row in _rows(second)[1:]] == \
+        [["4.0", "1e-12"], ["8.0", "1e-12"]]
+    assert cli._build_parser() is cli._build_parser()
+    windows = []
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: windows.append(args.window) or 7)
+    assert main(["verify", "k.txt", "i.txt", "--window", "0:1"]) == 7
+    assert main(["verify", "k.txt", "i.txt", "--window", "-2:2"]) == 7
+    assert windows == [(0, 1), (-2, 2)]
+
+
 @pytest.mark.parametrize("argv", [
     ["deblur", "b.csv", "--method", "analytic", "--band-limit", "nan"],
     ["deblur", "b.csv", "--method", "reciprocal", "--floor", "nan"],
@@ -534,3 +556,9 @@ def test_invert_reruns_are_byte_identical(tmp_path, three_point_file):
 
 def test_verify_window_syntax_error():
     assert main(["verify", "x", "y", "--window", "oops"]) == 2
+
+
+@pytest.mark.parametrize("window", ["-3.5:3", "-3:x"])
+def test_verify_negative_window_reaches_the_window_parser(capsys, window):
+    assert main(["verify", "x", "y", "--window", window]) == 2
+    assert f"window bounds must be integers, got '{window}'" in capsys.readouterr().err

@@ -8,6 +8,10 @@ they write files: a reference of 1e200 now scores (exit 0) where it was
 refused (exit 4).  Records rebuilt on the present code take the moved runs
 in; ``MOVED`` is then empty.
 
+The ``refusal/`` runs are the malformed files of
+``test_malformed_inputs.CORPUS``; their records also hold stderr, so each
+refusal keeps its ``path:line: message`` text.
+
 Spectral runs are compared in full only under the numpy version that wrote
 the record; under another one, pocketfft may round differently, so only
 their exit code and the names of the files they write are compared.
@@ -43,5 +47,5 @@ def _matches(name, got, spectral) -> bool:
 def test_command_matches_its_record(command):
     changed = [name for name, inputs, argv, spectral in golden.cases()
                if name.startswith(f"{command}/")
-               and not _matches(name, golden.run(inputs, argv, spectral), spectral)]
+               and not _matches(name, golden.run(name, inputs, argv, spectral), spectral)]
     assert changed == []
