@@ -49,3 +49,12 @@ def test_command_matches_its_record(command):
                if name.startswith(f"{command}/")
                and not _matches(name, golden.run(name, inputs, argv, spectral), spectral)]
     assert changed == []
+
+
+@pytest.mark.parametrize("name", ["deblur/reciprocal/image.f64", "experiment/noise-gaussian"])
+def test_a_spectral_run_repeated_in_one_process_keeps_its_record(name):
+    """The second run reads the grid tables the first one cached."""
+    [(inputs, argv, spectral)] = [(i, a, s) for n, i, a, s in golden.cases() if n == name]
+    assert spectral
+    for _ in range(2):
+        assert _matches(name, golden.run(name, inputs, argv, spectral), spectral)

@@ -1,4 +1,5 @@
 """The real-FFT Gaussian pipeline against the complex-route oracle."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourier_oracle as oracle
-from deconv import GaussianKernelSpec, GridSignal, blur, kernel_spectrum, naive_deblur
+from deconv import (
+    GaussianKernelSpec,
+    GridSignal,
+    blur,
+    gaussian,
+    kernel_spectrum,
+    naive_deblur,
+    noise_blowup_experiment,
+    padded_for_blur,
+)
 from deconv.gaussian import KERNEL_REACH
 
 SPACINGS = (0.1, 0.25, 0.4, 0.5)
@@ -125,3 +135,87 @@ def test_kernel_spectrum_matches_oracle(shape):
     old = oracle.kernel_spectrum(spec, like)
     assert new.dtype == complex and new.shape == shape
     assert float(np.max(np.abs(new - old))) <= 1e-14
+
+
+# --- the grid tables cached by (shape, spacing) ---------------------------------
+
+
+def _clear_tables():
+    for table in vars(gaussian).values():
+        if hasattr(table, "cache_clear"):
+            table.cache_clear()
+
+
+def _bytes(value):
+    """Every value and diagnostic of a result, arrays as dtype, shape and bytes."""
+    if isinstance(value, GridSignal):
+        return ("grid", value.spacing, value.origin, _bytes(value.values))
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bytes(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(_bytes(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(sorted((k, _bytes(v)) for k, v in value.items()))
+    return repr(value)
+
+
+def _smooth(shape, spacing):
+    axes = [s * np.arange(n) for n, s in zip(shape, spacing)]
+    r2 = sum(np.meshgrid(*[(a - a[-1] / 2) ** 2 for a in axes], indexing="ij"))
+    return GridSignal(np.exp(-0.5 * r2), spacing, (0.0,) * len(shape))
+
+
+def _pipeline(f):
+    blurred = blur(f)
+    return (blurred,
+            naive_deblur(blurred, "discrete-reciprocal"),
+            naive_deblur(blurred, "analytic-amplifier", band_limit=4.0),
+            noise_blowup_experiment(f, 1e-9, 3, 4.0))
+
+
+@pytest.mark.parametrize("shape, spacing", [((200,), (0.1,)), ((60, 52), (0.25, 0.4))])
+def test_cold_and_warm_tables_give_the_same_bytes_and_match_the_oracle(shape, spacing):
+    f = _smooth(shape, spacing)
+    _clear_tables()
+    cold = _pipeline(f)
+    warm = _pipeline(f)
+    assert _bytes(cold) == _bytes(warm)
+    blurred, _, _, (noise_diag, _) = warm
+    _close(blurred, oracle.blur(f))
+    for method, band_limit in (("discrete-reciprocal", None), ("analytic-amplifier", 4.0)):
+        _deblur_matches(blurred, method, band_limit, _peak(f), amplified=True)
+    _, want = oracle.naive_deblur(blurred, "analytic-amplifier", band_limit=4.0)
+    assert np.array_equal(noise_diag.log_amplification, want["log_amplification"])
+    assert noise_diag.applied_bins == want["applied_bins"]
+
+
+def test_grids_of_one_shape_and_different_spacings_get_their_own_tables():
+    spec = GaussianKernelSpec(1)
+    likes = [GridSignal(np.zeros(64), s, 0.0) for s in (0.25, 0.4, 0.25, 0.4)]
+    spectra = [kernel_spectrum(spec, like) for like in likes]
+    amps = [naive_deblur(like, "analytic-amplifier")[1].log_amplification for like in likes]
+    assert not np.array_equal(spectra[0], spectra[1])
+    assert not np.array_equal(amps[0], amps[1])
+    for like, spectrum, amp in zip(likes, spectra, amps):
+        assert float(np.max(np.abs(spectrum - oracle.kernel_spectrum(spec, like)))) <= 1e-14
+        assert np.array_equal(amp, oracle.naive_deblur(like, "analytic-amplifier")[1]
+                              ["log_amplification"])
+
+
+def test_cached_tables_refuse_writes_and_kernel_spectrum_returns_a_copy():
+    f = _smooth((200,), (0.1,))
+    before = blur(f)
+    padded = padded_for_blur(f)
+    _, diag = naive_deblur(before, "analytic-amplifier", band_limit=4.0)
+    with pytest.raises(ValueError):
+        diag.log_amplification[0] = 1.0
+    for table in (gaussian._transfer(padded, half=True),
+                  gaussian._freq_norm_sq(padded.shape, padded.spacing)):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    spectrum = kernel_spectrum(GaussianKernelSpec(1), padded)
+    spectrum[:] = 0.0
+    assert kernel_spectrum(GaussianKernelSpec(1), padded)[0] != 0.0
+    assert _bytes(blur(f)) == _bytes(before)

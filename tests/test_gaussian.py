@@ -100,6 +100,14 @@ def test_padding_rule_is_deterministic():
     assert padded.values[256] == f.values[0]
 
 
+@pytest.mark.parametrize("margin", [-3.0, math.nan, math.inf])
+def test_padding_refuses_a_negative_nan_or_infinite_margin(margin):
+    f = GridSignal(np.ones(100), 0.1, 0.0)
+    with pytest.raises(ParameterOutOfRange, match="margin must be finite and >= 0"):
+        padded_for_blur(f, margin)
+    assert padded_for_blur(f, 0.0).values.sum() == 100.0  # a zero margin keeps every sample
+
+
 def test_blur_of_impulse_is_sampled_kernel():
     vals = np.zeros(128)
     vals[64] = 1.0 / 0.1  # unit-mass discrete spike
@@ -214,6 +222,12 @@ def test_noise_experiment_sigma_zero_is_baseline():
     assert diag.total_error == pytest.approx(diag.baseline_error)
     with pytest.raises(ParameterOutOfRange):
         noise_blowup_experiment(f, -1.0, seed=0, band_limit=6.0)
+
+
+def test_noise_experiment_refuses_a_nan_sigma_up_front():
+    with pytest.raises(ParameterOutOfRange, match="sigma must be >= 0") as err:
+        noise_blowup_experiment(two_bump_signal(), math.nan, seed=0, band_limit=6.0)
+    assert err.value.exit_code == 4
 
 
 def test_inverse_probe_residual_plateaus():
