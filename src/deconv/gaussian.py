@@ -29,26 +29,30 @@ All convolution is periodic with mandatory zero padding (at least the
 kernel reach of 6 on each side, grown to a power of two), so the wrapped
 part of the circle never touches the retained window.
 
-Blur and deblur run on real FFTs (``rfftn``/``irfftn``) in the half
-spectrum layout.  The kernel sampled at the wrapped offsets of a grid is
-even and separable, so the transfer function of the discrete blur is real:
-the outer product of one real 1D spectrum per axis.  Every multiplier is
-even in frequency, so the origin phase factors of :func:`dft_forward` and
-:func:`dft_inverse` cancel and are never formed.  Those two functions stay
-as the quadrature transform and its left inverse for callers that need
-the full complex spectrum.
+Blur and deblur share one filter step on real FFTs (``rfftn``/``irfftn``):
+multiply the half spectrum by a real half-layout table.  Blur's table is
+the transfer function of the discrete blur, real because the kernel
+sampled at the wrapped offsets of a grid is even and separable: the outer
+product of one real 1D spectrum per axis.  A deblur's table comes from a
+plan that reads the grid, never the samples (checks, mask, multiplier,
+diagnostics), so a noise experiment plans once and filters both the clean
+blur and the noise.  Every multiplier is even in frequency, so the origin
+phase factors of :func:`dft_forward` and :func:`dft_inverse` cancel and are
+never formed.  Those two functions stay as the quadrature transform and its
+left inverse for callers that need the full complex spectrum.
 
 The tables that depend only on a grid's ``(shape, spacing)`` are built
 once per grid and kept, read-only, in ``functools.lru_cache`` caches of
-``TABLE_CACHE_GRIDS`` grids each: the transfer function (half layout for
-blur and deblur, full layout for :func:`kernel_spectrum`), the
-half-layout |u|^2, the full-layout ``log_amplification`` that every
-:class:`SpectrumDiagnostics` on the grid shares, and the rfft bin
-multiplicities of the last axis.  A blur and the deblurs after it on the same grid, or a
-noise ladder, reuse them.  On a 512^2 grid the first two take 1 MB each
-and the third 2 MB; a 4096^2 grid's full table alone takes 134 MB, hence
-the small bound.  Writing to a cached table raises; ``kernel_spectrum``
-returns a fresh writable copy.
+``TABLE_CACHE_GRIDS`` grids each, in both layouts where keyed by layout:
+the transfer function (half layout for blur and deblur, full for
+:func:`kernel_spectrum`), |u|^2 / 2 (half layout for the analytic
+amplifier and the band mask, full for the ``log_amplification`` every
+:class:`SpectrumDiagnostics` on the grid shares), and the rfft bin
+multiplicities of the last axis.  A blur and the deblurs after it on the
+same grid, or a noise ladder, reuse them.  On a 512^2 grid the half-layout
+tables take 1 MB each and the full one 2 MB; a 4096^2 grid's full table
+alone takes 134 MB, hence the small bound.  Writing to a cached table
+raises; ``kernel_spectrum`` returns a fresh writable copy.
 """
 from __future__ import annotations
 
@@ -156,20 +160,11 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _freq_sq_parts(shape, spacing) -> list[np.ndarray]:
-    return [(2.0 * np.pi * np.fft.fftfreq(n, d=s)) ** 2 for n, s in zip(shape, spacing)]
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
-def _freq_norm_sq(shape, spacing) -> np.ndarray:
-    """|u|^2 per bin in the rfftn layout; cached, read-only."""
-    return _read_only(_outer(_freq_sq_parts(shape, spacing), np.add, True))
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
-def _log_amplification(shape, spacing) -> np.ndarray:
-    """|u|^2 / 2 per bin in the full fftfreq layout; cached, read-only."""
-    table = _outer(_freq_sq_parts(shape, spacing), np.add, False)
+@functools.lru_cache(maxsize=2 * TABLE_CACHE_GRIDS)
+def _log_amplification(shape, spacing, half: bool) -> np.ndarray:
+    """|u|^2 / 2 per bin, in the rfftn layout when ``half``; cached, read-only."""
+    table = _outer([(2.0 * np.pi * np.fft.fftfreq(n, d=s)) ** 2 for n, s in zip(shape, spacing)],
+                   np.add, half)
     table /= 2.0
     return _read_only(table)
 
@@ -202,17 +197,11 @@ def dft_inverse(spectrum: Spectrum) -> GridSignal:
 def fourier_at(f: GridSignal, u) -> complex:
     """Direct quadrature evaluation of the transform at one frequency."""
     _require_float(f)
-    if f.dimension == 1:
-        coords = f.axis_coordinates(0)
-        phase = np.exp(1j * float(u) * coords)
-    else:
-        u = tuple(float(v) for v in u)
-        if len(u) != 2:
-            raise DimensionMismatch("2D signals need a 2-component frequency")
-        x = f.axis_coordinates(0)[:, None]
-        y = f.axis_coordinates(1)[None, :]
-        phase = np.exp(1j * (u[0] * x + u[1] * y))
-    return complex(np.sum(f.values * phase) * float(np.prod(f.spacing)))
+    u = (float(u),) if f.dimension == 1 else tuple(float(v) for v in u)
+    if len(u) != f.dimension:
+        raise DimensionMismatch("2D signals need a 2-component frequency")
+    angle = _outer([v * f.axis_coordinates(ax) for ax, v in enumerate(u)], np.add, False)
+    return complex(np.sum(f.values * np.exp(1j * angle)) * float(np.prod(f.spacing)))
 
 
 def _require_fine(spacing) -> None:
@@ -241,11 +230,8 @@ def sample_gaussian(spec: GaussianKernelSpec, shape, spacing, origin=None) -> Gr
             raise GridTooNarrow(
                 f"axis {ax} covers [{origin[ax]}, {hi}]; the kernel needs "
                 f"[-{KERNEL_REACH}, {KERNEL_REACH}]")
-    coords = [origin[ax] + spacing[ax] * np.arange(shape[ax]) for ax in range(spec.dimension)]
-    if spec.dimension == 1:
-        vals = spec.density(coords[0])
-    else:
-        vals = spec.density(coords[0][:, None], coords[1][None, :])
+    axes = [o + s * np.arange(n) for n, s, o in zip(shape, spacing, origin)]
+    vals = _outer([_UNIT_1D.density(x) for x in axes], np.multiply, False)
     return GridSignal._own(vals, spacing, origin)
 
 
@@ -258,11 +244,6 @@ def _validate_kernel_grid(like: GridSignal) -> None:
                 f"kernel needs at least {2 * KERNEL_REACH}")
 
 
-def _irfftn(spectrum: np.ndarray, shape) -> np.ndarray:
-    """Real grid of the given shape from its rfftn half spectrum."""
-    return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
-
-
 def _axis_transfer(n: int, spacing: float) -> np.ndarray:
     """Real DFT of the 1D unit Gaussian sampled at the wrapped offsets of an axis.
 
@@ -273,7 +254,7 @@ def _axis_transfer(n: int, spacing: float) -> np.ndarray:
     return np.fft.fft(_UNIT_1D.density(offsets)).real * spacing
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
+@functools.lru_cache(maxsize=2 * TABLE_CACHE_GRIDS)
 def _transfer_table(shape, spacing, half: bool) -> np.ndarray:
     return _read_only(_outer([_axis_transfer(n, s) for n, s in zip(shape, spacing)],
                              np.multiply, half))
@@ -325,6 +306,15 @@ def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
     return GridSignal._own(_placed(f.values, lefts, sizes), f.spacing, origin)
 
 
+def _filtered(g: GridSignal, table: np.ndarray) -> GridSignal:
+    """``g`` with its rfftn half spectrum multiplied by ``table``, on ``g``'s grid."""
+    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
+        spectrum = np.fft.rfftn(g.values)
+        spectrum *= table
+        values = np.fft.irfftn(spectrum, s=g.shape, axes=tuple(range(g.dimension)))
+    return GridSignal._own(values, g.spacing, g.origin)
+
+
 def blur(f: GridSignal) -> GridSignal:
     """Gaussian blur by spectrum multiplication on a zero-padded grid.
 
@@ -332,14 +322,8 @@ def blur(f: GridSignal) -> GridSignal:
     input spectrum times the discrete transfer function, so mass is
     preserved up to the kernel's quadrature error.
     """
-    _require_float(f)
     padded = padded_for_blur(f)
-    transfer = _transfer(padded, half=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
-        spectrum = np.fft.rfftn(padded.values)
-        spectrum *= transfer
-        values = _irfftn(spectrum, padded.shape)
-    return GridSignal._own(values, padded.spacing, padded.origin)
+    return _filtered(padded, _transfer(padded, half=True))
 
 
 @dataclass(frozen=True)
@@ -396,22 +380,12 @@ def _half_multiplicity(n: int) -> np.ndarray:
     return _read_only(np.where(2 * k % n == 0, 1, 2))
 
 
-def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
-                 reciprocal_floor: float | None = DEFAULT_RECIPROCAL_FLOOR
-                 ) -> tuple[GridSignal, SpectrumDiagnostics]:
-    """Invert a Gaussian blur by direct spectral amplification.
+def _deblur_plan(g: GridSignal, method: str, band_limit: float | None,
+                 reciprocal_floor: float | None) -> tuple[np.ndarray, SpectrumDiagnostics]:
+    """The checks, half-layout multiplier and diagnostics of a deblur on ``g``'s grid.
 
-    ``discrete-reciprocal`` divides by the sampled kernel's DFT and is the
-    exact inverse of :func:`blur` on the same grid wherever the transfer
-    function stays above ``reciprocal_floor``; pass a floor of 0 or None
-    to divide unconditionally, which raises ``ReciprocalUnderflow`` when
-    a spectrum magnitude sits below 1e-300; a NaN floor or band limit is
-    refused.  ``analytic-amplifier``
-    multiplies by exp(|u|^2/2), zeroing bins past ``band_limit`` or the
-    float64 overflow line.
-
-    The work happens in the rfftn half layout; bin counts and the noise
-    gain weigh each half-layout bin by the full-layout bins it stands for.
+    The plan reads only the grid, never the samples, so one plan deblurs
+    every signal on that grid.
     """
     _require_float(g)
     if method not in DEBLUR_METHODS:
@@ -421,11 +395,12 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
         raise ParameterOutOfRange("band_limit must be positive")
     if reciprocal_floor is not None and math.isnan(reciprocal_floor):
         raise ParameterOutOfRange("reciprocal_floor must not be NaN")
-    usq = _freq_norm_sq(g.shape, g.spacing)
-    if band_limit is None:
-        mask = np.ones(usq.shape, dtype=bool)
-    else:
-        mask = usq <= float(band_limit) ** 2
+    log_amp = _log_amplification(g.shape, g.spacing, True)
+    try:
+        edge = (math.inf if band_limit is None else float(band_limit)) ** 2 / 2.0
+    except OverflowError:  # a band limit past 1.3e154 bounds no bin
+        edge = math.inf
+    mask = log_amp <= edge
     if method == "discrete-reciprocal":
         transfer = _transfer(g, half=True)
         magnitude = np.abs(transfer)
@@ -440,7 +415,6 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
         multiplier = np.divide(1.0, transfer, out=np.zeros_like(transfer), where=mask)
         gain = -np.log(magnitude[mask])
     else:
-        log_amp = usq / 2.0
         mask &= log_amp < OVERFLOW_LOG
         floor_used = None
         multiplier = np.exp(log_amp, out=np.zeros_like(log_amp), where=mask)
@@ -450,7 +424,7 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
     if applied:
         cell = float(np.prod(g.spacing))
         noise_gain_log = 0.5 * (math.log(cell) + _logsumexp(2.0 * gain, counts))
-        max_log = float(np.max(usq[mask])) / 2.0
+        max_log = float(np.max(log_amp[mask]))
     else:
         noise_gain_log = None
         max_log = 0.0
@@ -458,18 +432,34 @@ def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
         method=method,
         band_limit=None if band_limit is None else float(band_limit),
         reciprocal_floor=floor_used,
-        log_amplification=_log_amplification(g.shape, g.spacing),
+        log_amplification=_log_amplification(g.shape, g.spacing, False),
         max_log_amplification=max_log,
         noise_gain_log=noise_gain_log,
         applied_bins=applied,
         suppressed_bins=g.values.size - applied,
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
-        spectrum = np.fft.rfftn(g.values)
-        spectrum *= multiplier
-        values = _irfftn(spectrum, g.shape)
-    recovered = GridSignal._own(values, g.spacing, g.origin)
-    return recovered, diagnostics
+    return multiplier, diagnostics
+
+
+def naive_deblur(g: GridSignal, method: str, *, band_limit: float | None = None,
+                 reciprocal_floor: float | None = DEFAULT_RECIPROCAL_FLOOR
+                 ) -> tuple[GridSignal, SpectrumDiagnostics]:
+    """Invert a Gaussian blur by direct spectral amplification.
+
+    ``discrete-reciprocal`` divides by the sampled kernel's DFT and is the
+    exact inverse of :func:`blur` on the same grid wherever the transfer
+    function stays above ``reciprocal_floor``; pass a floor of 0 or None
+    to divide unconditionally, which raises ``ReciprocalUnderflow`` when
+    a spectrum magnitude sits below 1e-300.  ``analytic-amplifier``
+    multiplies by exp(|u|^2/2), zeroing bins past ``band_limit`` or the
+    float64 overflow line.  A NaN floor or band limit is refused; a band
+    limit whose square overflows float64 bounds no bin, as inf does.
+
+    The work happens in the rfftn half layout; bin counts and the noise
+    gain weigh each half-layout bin by the full-layout bins it stands for.
+    """
+    multiplier, diagnostics = _deblur_plan(g, method, band_limit, reciprocal_floor)
+    return _filtered(g, multiplier), diagnostics
 
 
 def noise_blowup_experiment(f: GridSignal, sigma: float, seed: int,
@@ -496,8 +486,9 @@ def noise_blowup_experiment(f: GridSignal, sigma: float, seed: int,
     rng = np.random.default_rng(seed)
     noise = GridSignal._own(sigma * rng.standard_normal(blurred.shape),
                             blurred.spacing, blurred.origin)
-    rec_clean, diag = naive_deblur(blurred, "analytic-amplifier", band_limit=band_limit)
-    rec_noise, _ = naive_deblur(noise, "analytic-amplifier", band_limit=band_limit)
+    amplifier, diag = _deblur_plan(blurred, "analytic-amplifier", band_limit, None)
+    rec_clean = _filtered(blurred, amplifier)
+    rec_noise = _filtered(noise, amplifier)
     reference = f.on_grid_of(blurred)
     total_error = (rec_clean + rec_noise - reference).l2_norm()
     baseline_error = (rec_clean - reference).l2_norm()

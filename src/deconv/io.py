@@ -349,7 +349,7 @@ def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
     ])
 
 
-def _pgm_tokens(data: bytes, path: str):
+def _pgm_tokens(data: bytes):
     """Yield (offset_after, token) over the ASCII header, honoring comments."""
     i = 0
     n = len(data)
@@ -372,7 +372,7 @@ def _pgm_tokens(data: bytes, path: str):
 def read_pgm(path) -> GridSignal:
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _pgm_tokens(data, str(path))
+    tokens = _pgm_tokens(data)
     try:
         _, magic = next(tokens)
     except StopIteration:
@@ -388,6 +388,8 @@ def read_pgm(path) -> GridSignal:
         raise FormatError("bad PGM header", path=str(path)) from None
     if w <= 0 or h <= 0 or maxval <= 0:
         raise FormatError("bad PGM dimensions", path=str(path))
+    if maxval > 65535:
+        raise FormatError(f"maxval {maxval} exceeds the PGM limit 65535", path=str(path))
     if magic == "P5":
         start = end + 1  # single whitespace byte after maxval
         width = 1 if maxval <= 255 else 2
@@ -462,6 +464,8 @@ def read_raw_grid(path) -> GridSignal:
         if fields["dtype"] != ["float64-le"]:
             raise FormatError(f"unsupported dtype {fields['dtype']}", path=str(path))
         shape = tuple(int(n) for n in fields["shape"])
+        if any(n < 1 for n in shape):
+            raise ValueError(f"shape entries must be >= 1, got {' '.join(fields['shape'])}")
         spacing = tuple(float(s) for s in fields["spacing"])
         origin = tuple(float(o) for o in fields["origin"])
     except (KeyError, ValueError) as exc:

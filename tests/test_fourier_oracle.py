@@ -211,11 +211,46 @@ def test_cached_tables_refuse_writes_and_kernel_spectrum_returns_a_copy():
     _, diag = naive_deblur(before, "analytic-amplifier", band_limit=4.0)
     with pytest.raises(ValueError):
         diag.log_amplification[0] = 1.0
-    for table in (gaussian._transfer(padded, half=True),
-                  gaussian._freq_norm_sq(padded.shape, padded.spacing)):
+    for table in (gaussian._transfer_table(padded.shape, padded.spacing, True),
+                  gaussian._log_amplification(padded.shape, padded.spacing, True)):
         with pytest.raises(ValueError):
             table[0] = 1.0
     spectrum = kernel_spectrum(GaussianKernelSpec(1), padded)
     spectrum[:] = 0.0
     assert kernel_spectrum(GaussianKernelSpec(1), padded)[0] != 0.0
     assert _bytes(blur(f)) == _bytes(before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 300), min_size=1, max_size=2).flatmap(
+    lambda shape: st.tuples(st.just(tuple(shape)),
+                            st.tuples(*[st.floats(1e-3, 0.5) for _ in shape]))))
+def test_log_amplification_is_the_oracle_norm_halved(grid):
+    shape, spacing = grid
+    full = oracle._freq_norm_sq(shape, spacing) / 2.0
+    half = full[..., : shape[-1] // 2 + 1]
+    for layout, want in ((False, full), (True, half)):
+        table = gaussian._log_amplification(shape, spacing, layout)
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
+
+
+# The noise experiment plans its amplifier once and filters the clean blur
+# and the noise with it; two public deblurs, one per signal, are the oracle.
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(bumps), st.floats(0.5, 8.0),
+       st.sampled_from((0.0, 1e-12, 1e-9, 1e-6, 1e-3)), st.integers(0, 2 ** 32 - 1))
+def test_noise_experiment_errors_equal_two_public_deblurs(f, band_limit, sigma, seed):
+    diag, _ = noise_blowup_experiment(f, sigma, seed, band_limit)
+    blurred = blur(f)
+    noise = GridSignal(sigma * np.random.default_rng(seed).standard_normal(blurred.shape),
+                       blurred.spacing, blurred.origin)
+    rec_clean, want = naive_deblur(blurred, "analytic-amplifier", band_limit=band_limit)
+    rec_noise, _ = naive_deblur(noise, "analytic-amplifier", band_limit=band_limit)
+    reference = f.on_grid_of(blurred)
+    assert diag.noise_error == rec_noise.l2_norm()
+    assert diag.baseline_error == (rec_clean - reference).l2_norm()
+    assert diag.total_error == (rec_clean + rec_noise - reference).l2_norm()
+    assert _bytes(dataclasses.replace(diag, sigma=None, seed=None, total_error=None,
+                                      noise_error=None, baseline_error=None, ratio=None)) \
+        == _bytes(want)

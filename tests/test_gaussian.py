@@ -170,6 +170,17 @@ def test_band_limit_controls_amplification():
     assert np.min(wide.log_amplification[:wide.applied_bins]) >= 0.0
 
 
+@pytest.mark.parametrize("method", ["discrete-reciprocal", "analytic-amplifier"])
+def test_a_band_limit_whose_square_overflows_bounds_no_bin(method):
+    # 1e300 ** 2 overflows a Python float: the band then bounds nothing, as inf does
+    g = blur(two_bump_signal())
+    huge, huge_diag = naive_deblur(g, method, band_limit=1e300)
+    unbounded, unbounded_diag = naive_deblur(g, method, band_limit=math.inf)
+    assert np.array_equal(huge.values, unbounded.values)
+    assert huge_diag.applied_bins == unbounded_diag.applied_bins
+    assert huge_diag.noise_gain_log == unbounded_diag.noise_gain_log
+
+
 def test_analytic_amplifier_overflow_guard():
     # spacing small enough that the top frequency would overflow exp()
     vals = np.zeros(4096)

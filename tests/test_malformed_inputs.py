@@ -13,6 +13,7 @@ NAN = struct.pack("<d", float("nan"))
 ONE = struct.pack("<d", 1.0)
 META = "spacing 0.25 0.25\norigin 0.0 0.0\nvmin 0.0\nvmax 1.0\n"
 DESC_1D = "dtype float64-le\nshape 2\nspacing 0.25\norigin 0.0\n"
+DESC_2D = "dtype float64-le\nshape 2 2\nspacing 0.25 0.25\norigin 0.0 0.0\n"
 
 MEASURE = ["convolve", "in.txt", "in.txt", "-o", "out.txt"]
 INDEX_CSV = ["deblur", "in.csv", "-o", "out.csv", "--method", "binomial",
@@ -60,6 +61,8 @@ CORPUS = {
     "pgm-p2-sample": (PGM, {"in.pgm": b"P2\n2 2\n255\n1 2 x 4\n"}, 2),
     "pgm-p2-count": (PGM, {"in.pgm": b"P2\n2 2\n255\n1 2 3\n"}, 2),
     "pgm-p2-maxval": (PGM, {"in.pgm": b"P2\n2 2\n10\n1 2 3 11\n"}, 2),
+    "pgm-p2-maxval-above-65535": (PGM, {"in.pgm": b"P2\n2 2\n70000\n1 2 3 69999\n",
+                                        "in.pgm.meta": META}, 2),
     "pgm-p2-negative": (PGM, {"in.pgm": b"P2\n2 2\n255\n-5 1 2 3\n"}, 2),
     "pgm-p5-truncated": (PGM, {"in.pgm": b"P5\n2 2\n255\nxx"}, 2),
     "pgm-meta-missing-key": (PGM, {"in.pgm": b"P5\n2 2\n255\nabcd",
@@ -76,6 +79,10 @@ CORPUS = {
                         "in.f64.desc": DESC_1D.replace("float64-le", "float32")}, 2),
     "raw-shape-token": (RAW, {"in.f64": ONE * 2,
                               "in.f64.desc": DESC_1D.replace("shape 2", "shape two")}, 2),
+    "raw-shape-negative": (RAW, {"in.f64": ONE * 6,
+                                 "in.f64.desc": DESC_2D.replace("shape 2 2", "shape -2 -3")}, 2),
+    "raw-shape-zero": (RAW, {"in.f64": b"",
+                             "in.f64.desc": DESC_2D.replace("shape 2 2", "shape 0 5")}, 2),
     "raw-byte-count": (RAW, {"in.f64": ONE * 3, "in.f64.desc": DESC_1D}, 2),
     "raw-nan": (RAW, {"in.f64": ONE + NAN, "in.f64.desc": DESC_1D}, 2),
     "raw-spacing-axes": (RAW, {"in.f64": ONE * 2,
