@@ -42,16 +42,18 @@ never formed.  Those two functions stay as the quadrature transform and its
 left inverse for callers that need the full complex spectrum.
 
 The tables that depend only on a grid's ``(shape, spacing)`` are built
-once per grid and kept, read-only, in ``functools.lru_cache`` caches of
-``TABLE_CACHE_GRIDS`` grids each, in both layouts where keyed by layout:
-the transfer function (half layout for blur and deblur, full for
-:func:`kernel_spectrum`), |u|^2 / 2 (half layout for the analytic
-amplifier and the band mask, full for the ``log_amplification`` every
-:class:`SpectrumDiagnostics` on the grid shares), and the rfft bin
-multiplicities of the last axis.  A blur and the deblurs after it on the
-same grid, or a noise ladder, reuse them.  On a 512^2 grid the half-layout
-tables take 1 MB each and the full one 2 MB; a 4096^2 grid's full table
-alone takes 134 MB, hence the small bound.  Writing to a cached table
+once per grid and kept, read-only, in ``functools.lru_cache`` caches:
+the transfer function (``TABLE_CACHE_GRIDS`` entries, keyed with the
+layout: half for blur and deblur, full for :func:`kernel_spectrum`),
+|u|^2 / 2 (``2 * TABLE_CACHE_GRIDS`` entries, so both layouts of
+``TABLE_CACHE_GRIDS`` grids stay warm: a deblur reads the half layout for
+the analytic amplifier and the band mask and the full layout for the
+``log_amplification`` every :class:`SpectrumDiagnostics` on the grid
+shares), and the rfft bin multiplicities of the last axis
+(``TABLE_CACHE_GRIDS`` axis lengths).  A blur and the deblurs after it on
+the same grid, or a noise ladder, reuse them.  On a 512^2 grid the
+half-layout tables take 1 MB each and the full one 2 MB; a 4096^2 grid's
+full table alone takes 134 MB, hence the small bounds.  Writing to a cached table
 raises; ``kernel_spectrum`` returns a fresh writable copy.
 """
 from __future__ import annotations
@@ -254,7 +256,7 @@ def _axis_transfer(n: int, spacing: float) -> np.ndarray:
     return np.fft.fft(_UNIT_1D.density(offsets)).real * spacing
 
 
-@functools.lru_cache(maxsize=2 * TABLE_CACHE_GRIDS)
+@functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
 def _transfer_table(shape, spacing, half: bool) -> np.ndarray:
     return _read_only(_outer([_axis_transfer(n, s) for n, s in zip(shape, spacing)],
                              np.multiply, half))
