@@ -34,8 +34,6 @@ FLOAT = "float"
 
 Point = tuple[int, ...]
 
-_is_nonzero = np.frompyfunc(lambda v: v != 0, 1, 1)
-
 
 def _as_tuple(value, ndim: int, name: str) -> tuple[float, ...]:
     if value is None:
@@ -81,6 +79,39 @@ def _placed(values: np.ndarray, offset, shape) -> np.ndarray:
         dst.append(slice(a, b))
     out[tuple(dst)] = values[tuple(src)]
     return out
+
+
+def _summed(points, weights) -> dict:
+    """Point -> weight, a repeated point taking the sum of its weights in order."""
+    store = dict(zip(points, weights))
+    if len(store) < len(points):
+        store = {}
+        for p, w in zip(points, weights):
+            store[p] = store[p] + w if p in store else w
+    return store
+
+
+def _on_box(points, values, mode: str) -> "GridSignal":
+    """The lattice signal with ``values`` at the distinct ``points`` (ints in
+    1D, tuples in 1D or 2D) and zeros elsewhere in their box; a float sample
+    is ``0.0 + v``, so ``-0.0`` reads as ``0.0``."""
+    coords = np.array(points).reshape(len(points), -1)
+    if coords.dtype.kind != "i":  # a coordinate past int64, read as uint64, float or object
+        coords = np.array(points, dtype=object).reshape(len(points), -1)
+    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+    samples = _zero_array(tuple(h - l + 1 for l, h in zip(lo, hi)), mode)
+    samples[tuple((coords - lo).astype(np.intp).T)] = values
+    if mode != EXACT:
+        samples += 0.0
+    return GridSignal._own(samples, None, tuple(map(float, lo)))
+
+
+def _nonzero(values: np.ndarray, lo) -> tuple[list[Point], np.ndarray]:
+    """The points ``lo + index`` of the nonzero cells of ``values``, in
+    row-major order, and their values."""
+    index = np.nonzero(values)
+    axes = ([i + low for i in axis.tolist()] for axis, low in zip(index, lo))
+    return list(zip(*axes)), values[index]
 
 
 def _finite_summary(summary):
@@ -180,22 +211,11 @@ class GridSignal:
     def _zero(self):
         return Fraction(0) if self.mode == EXACT else 0.0
 
-    def _nonzero_mask(self) -> np.ndarray:
-        if self.mode == EXACT:
-            return _is_nonzero(self.values).astype(bool)
-        return self.values != 0.0
-
     # --- lattice views -------------------------------------------------
 
     def lattice_dict(self) -> dict[Point, object]:
         """Nonzero samples as a point -> value mapping (lattice signals only)."""
-        lo = self.lattice_origin()
-        out = {}
-        mask = self._nonzero_mask()
-        for idx in np.argwhere(mask):
-            point = tuple(int(i) + lo[ax] for ax, i in enumerate(idx))
-            out[point] = self.values[tuple(idx)]
-        return out
+        return dict(zip(*_nonzero(self.values, self.lattice_origin())))
 
     def value_at(self, point) -> object:
         """Sample value at a lattice point, zero outside the stored extent."""
@@ -210,27 +230,19 @@ class GridSignal:
 
     def support_radius(self) -> int:
         """Largest absolute coordinate carrying a nonzero sample (0 if none)."""
-        d = self.lattice_dict()
-        if not d:
-            return 0
-        return max(abs(c) for p in d for c in p)
+        points, _ = _nonzero(self.values, self.lattice_origin())
+        return max((abs(c) for p in points for c in p), default=0)
 
     def trim(self) -> "GridSignal":
         """Shrink the extent to the bounding box of the nonzero samples."""
-        mask = self._nonzero_mask()
-        if not mask.any():
-            idx = tuple(slice(0, 1) for _ in range(self.dimension))
-            return GridSignal._own(self.values[idx], self.spacing, self.origin)
-        slices = []
-        new_origin = []
-        for ax in range(self.dimension):
-            other = tuple(a for a in range(self.dimension) if a != ax)
-            line = mask.any(axis=other) if other else mask
-            hits = np.flatnonzero(line)
-            lo, hi = int(hits[0]), int(hits[-1])
-            slices.append(slice(lo, hi + 1))
-            new_origin.append(self.origin[ax] + self.spacing[ax] * lo)
-        return GridSignal._own(self.values[tuple(slices)], self.spacing, tuple(new_origin))
+        points, _ = _nonzero(self.values, (0,) * self.dimension)
+        if not points:
+            return GridSignal._own(self.values[(slice(0, 1),) * self.dimension],
+                                   self.spacing, self.origin)
+        axes = list(zip(*points))
+        origin = tuple(o + s * min(a) for o, s, a in zip(self.origin, self.spacing, axes))
+        return GridSignal._own(self.values[tuple(slice(min(a), max(a) + 1) for a in axes)],
+                               self.spacing, origin)
 
     def restrict(self, bounds) -> "GridSignal":
         """Dense copy over an explicit lattice window, zero-filled where absent."""
@@ -386,26 +398,18 @@ class GridSignal:
     def from_lattice_dict(cls, data: Mapping, dimension: int | None = None,
                           mode: str = EXACT) -> "GridSignal":
         """Dense lattice signal over the bounding box of a point -> value map."""
-        items = []
-        for p, v in data.items():
-            pt = (int(p),) if isinstance(p, int) else tuple(int(c) for c in p)
-            items.append((pt, v))
+        points = [(int(p),) if isinstance(p, int) else tuple(int(c) for c in p) for p in data]
         if dimension is None:
-            if not items:
+            if not points:
                 raise ValueError("dimension is required for an empty mapping")
-            dimension = len(items[0][0])
-        if any(len(p) != dimension for p, _ in items):
+            dimension = len(points[0])
+        if any(len(p) != dimension for p in points):
             raise DimensionMismatch("points of mixed dimension")
-        if not items:
+        if not points:
             return cls.zeros((1,) * dimension, None, None, mode=mode)
-        lo = tuple(min(p[ax] for p, _ in items) for ax in range(dimension))
-        hi = tuple(max(p[ax] for p, _ in items) for ax in range(dimension))
-        shape = tuple(hi[ax] - lo[ax] + 1 for ax in range(dimension))
-        vals = _zero_array(shape, mode)
-        for p, v in items:
-            idx = tuple(p[ax] - lo[ax] for ax in range(dimension))
-            vals[idx] = vals[idx] + (Fraction(v) if mode == EXACT else float(v))
-        return cls._own(vals, None, tuple(float(v) for v in lo))
+        value = Fraction if mode == EXACT else float
+        store = _summed(points, list(map(value, data.values())))
+        return _on_box(list(store), list(store.values()), mode)
 
 
 def _window_bounds(window, dimension: int | None = None) -> tuple[tuple[int, int], ...]:

@@ -39,8 +39,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError
-from .grids import EXACT, FLOAT, GridSignal, _zero_array
-from .measures import AtomicMeasure, _from_columns
+from .grids import EXACT, FLOAT, GridSignal, _on_box, _summed
+from .measures import AtomicMeasure, _checked
 
 # --- text files -------------------------------------------------------------
 
@@ -167,7 +167,7 @@ def read_measure(path, mode: str = EXACT) -> AtomicMeasure:
         weights = _weights(weights, mode)
     except _BAD_TOKEN:
         _refuse_first(path, lines, lambda row: _check_atom(row, dimension, mode))
-    return _from_columns(dimension, mode, points, weights)
+    return _checked(dimension, mode, _summed(points, weights))
 
 
 # --- 1D signal CSV ----------------------------------------------------------
@@ -240,25 +240,13 @@ def read_signal_csv(path, mode: str | None = None) -> GridSignal:
         seen = set()
         _refuse_first(path, lines, lambda row: _check_row(row, kind, mode, seen), head)
     if kind == "index":
-        return _lattice_signal(xs, values, mode)
+        return _on_box(xs, values, mode)
     if len(xs) == 1:
         return GridSignal._own(np.asarray(values), 1.0, xs[0])
     step = (xs[-1] - xs[0]) / (len(xs) - 1)  # endpoint fit beats the first gap
     if step <= 0 or not np.allclose(np.diff(xs), step, rtol=1e-6, atol=1e-12):
         raise FormatError("abscissas are not uniformly increasing", path=str(path))
     return GridSignal._own(np.asarray(values), float(step), xs[0])
-
-
-def _lattice_signal(idx: list[int], values: list, mode: str) -> GridSignal:
-    """The lattice signal with ``values`` at the distinct indices ``idx`` and
-    zeros in the holes between; float samples are ``0.0 + v``, so ``-0.0``
-    reads as ``0.0``, as ``GridSignal.from_lattice_dict`` sums them."""
-    lo = min(idx)
-    samples = _zero_array((max(idx) - lo + 1,), mode)
-    samples[[i - lo for i in idx]] = values
-    if mode == FLOAT:
-        samples += 0.0
-    return GridSignal._own(samples, None, (float(lo),))
 
 
 # --- PGM images -------------------------------------------------------------

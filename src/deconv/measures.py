@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .errors import DimensionMismatch, ModeMismatch, NonFiniteResult
-from .grids import EXACT, FLOAT, GridSignal, _window_bounds, _zero_array
+from .grids import EXACT, FLOAT, GridSignal, _nonzero, _summed, _window_bounds, _zero_array
 
 Point = tuple[int, ...]
 Weight = Union[Fraction, float]
@@ -227,10 +227,8 @@ class _Dense:
         """``scale`` times this exact value, as a measure of ``like``'s dimension."""
         num, den = scale.as_integer_ratio()
         den *= self.den
-        cells = np.flatnonzero(self.nums)
-        points = _cell_points(cells, self.lo, _strides(self.nums.shape))
-        nums = self.nums.ravel()[cells].tolist()
-        return like._with_atoms({p: Fraction(n * num, den) for p, n in zip(points, nums)})
+        points, nums = _nonzero(self.nums, self.lo)
+        return like._with_atoms({p: Fraction(n * num, den) for p, n in zip(points, nums.tolist())})
 
     def signal(self, like: GridSignal) -> GridSignal:
         """This value as a signal on the grid from ``lo`` with ``like``'s spacing and mode."""
@@ -285,20 +283,11 @@ class AtomicMeasure:
             raise DimensionMismatch(f"supported dimensions are 1 and 2, got {dimension}")
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown arithmetic mode {mode!r}")
-        store: dict[Point, Weight] = {}
-        if atoms:
-            items = atoms.items() if isinstance(atoms, Mapping) else atoms
-            for p, w in items:
-                pt = as_point(p, dimension)
-                wv = coerce_weight(w, mode)
-                if pt in store:
-                    store[pt] = store[pt] + wv
-                else:
-                    store[pt] = wv
-            store = _pruned(store, mode)
+        items = atoms.items() if isinstance(atoms, Mapping) else atoms or ()
+        pairs = [(as_point(p, dimension), coerce_weight(w, mode)) for p, w in items]
         self._dimension = dimension
         self._mode = mode
-        self._atoms = store
+        self._atoms = _pruned(_summed(*zip(*pairs)), mode) if pairs else {}
 
     # --- queries ---------------------------------------------------------
 
@@ -481,18 +470,6 @@ def _checked(dimension: int, mode: str, store: dict) -> AtomicMeasure:
     out._mode = mode
     out._atoms = _pruned(store, mode)
     return out
-
-
-def _from_columns(dimension: int, mode: str, points: list, weights: list) -> AtomicMeasure:
-    """The measure with ``weights[k]`` at ``points[k]``, both already in their
-    form (a reader's parsed columns): a repeated point takes the sum of its
-    weights in column order, as the public constructor sums them."""
-    store = dict(zip(points, weights))
-    if len(store) < len(points):
-        store = {}
-        for p, w in zip(points, weights):
-            store[p] = store[p] + w if p in store else w
-    return _checked(dimension, mode, store)
 
 
 def dirac(point=0, weight=1, *, mode: str = EXACT) -> AtomicMeasure:
