@@ -130,7 +130,7 @@ def _finite_summary(summary):
     return checked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSignal:
     """Dense samples on a regular grid.
 
@@ -178,6 +178,14 @@ class GridSignal:
         object.__setattr__(self, "origin", _as_tuple(origin, arr.ndim, "origin"))
         if any(s <= 0 for s in self.spacing):
             raise ValueError("spacing must be positive")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridSignal):
+            return NotImplemented
+        return (self.shape == other.shape and self.spacing == other.spacing
+                and self.origin == other.origin and np.array_equal(self.values, other.values))
+
+    __hash__ = None
 
     # --- basic queries -------------------------------------------------
 

@@ -229,6 +229,21 @@ def test_lattice_equal_ignores_padding():
     assert not a.lattice_equal(a.with_impulse(0, 1))
 
 
+def test_equality_compares_grid_and_samples():
+    f = GridSignal(np.arange(3.0))
+    assert f == GridSignal(np.arange(3.0))
+    assert f in [GridSignal(np.arange(3.0))]
+    assert f == GridSignal(np.arange(3, dtype=object))  # equal samples, as measures compare
+    assert f != GridSignal(np.arange(3.0), spacing=0.5)
+    assert f != GridSignal(np.arange(3.0), origin=1.0)
+    assert f != GridSignal(np.arange(4.0))
+    assert f != GridSignal(np.arange(3.0) + 1)
+    assert f != GridSignal(np.arange(3.0).reshape(1, 3))
+    assert f != np.arange(3.0).tolist()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(f)
+
+
 def test_two_dimensional_roundtrip():
     f = GridSignal.from_lattice_dict({(0, 1): 2, (-1, -1): Fraction(1, 4)},
                                      dimension=2)
