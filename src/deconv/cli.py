@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -166,6 +167,9 @@ def _cmd_blur(args) -> int:
 def _cmd_deblur(args) -> int:
     if args.metrics and not args.reference:
         return _usage("--metrics needs --reference to compare against")
+    outputs = [os.path.realpath(p) for p in dio.saved_files(args.output)]
+    if args.metrics and os.path.realpath(args.metrics) in outputs:
+        return _usage(f"--metrics {args.metrics} is a file that -o {args.output} writes")
     method = args.method
     settings = {"command": "deblur", "method": method, "input": args.input}
     if method == "vancittert":

@@ -251,9 +251,7 @@ def read_signal_csv(path, mode: str | None = None) -> GridSignal:
 
 # --- PGM images -------------------------------------------------------------
 
-
-def _meta_path(path) -> str:
-    return str(path) + ".meta"
+_META, _DESC = ".meta", ".desc"  # the sidecars of a PGM image and of a raw float grid
 
 
 def _read_fields(sidecar) -> dict[str, list[str]]:
@@ -329,7 +327,7 @@ def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
         body = "\n".join(" ".join(str(c) for c in row) for row in counts)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(head) + "\n" + body + "\n")
-    write_text(_meta_path(path), (), [
+    write_text(str(path) + _META, (), [
         f"spacing {repr(signal.spacing[0])} {repr(signal.spacing[1])}",
         f"origin {repr(signal.origin[0])} {repr(signal.origin[1])}",
         f"vmin {repr(vmin)}",
@@ -404,7 +402,7 @@ def read_pgm(path) -> GridSignal:
         raise FormatError("sample exceeds maxval", path=str(path))
     spacing = (1.0, 1.0)
     origin = (0.0, 0.0)
-    meta = _meta_path(path)
+    meta = str(path) + _META
     if os.path.exists(meta):
         fields = _read_fields(meta)
         try:
@@ -426,16 +424,12 @@ def read_pgm(path) -> GridSignal:
 # --- raw float grids --------------------------------------------------------
 
 
-def _desc_path(path) -> str:
-    return str(path) + ".desc"
-
-
 def write_raw_grid(path, signal: GridSignal, header: tuple[str, ...] = ()) -> None:
     if signal.mode != FLOAT:
         raise FormatError("raw grids are float64 only")
     with open(path, "wb") as fh:
         fh.write(np.asarray(signal.values, dtype="<f8").tobytes(order="C"))
-    write_text(_desc_path(path), header, [
+    write_text(str(path) + _DESC, header, [
         "dtype float64-le",
         "shape " + " ".join(str(n) for n in signal.shape),
         "spacing " + " ".join(repr(s) for s in signal.spacing),
@@ -444,7 +438,7 @@ def write_raw_grid(path, signal: GridSignal, header: tuple[str, ...] = ()) -> No
 
 
 def read_raw_grid(path) -> GridSignal:
-    desc = _desc_path(path)
+    desc = str(path) + _DESC
     if not os.path.exists(desc):
         raise FormatError(f"missing descriptor {desc}", path=str(path))
     fields = _read_fields(desc)
@@ -493,3 +487,11 @@ def save_signal(path, signal: GridSignal, header: tuple[str, ...] = ()) -> None:
         write_raw_grid(path, signal, header)
     else:
         raise FormatError(f"unknown signal extension {suffix!r}", path=str(path))
+
+
+def saved_files(path) -> tuple[str, ...]:
+    """The files :func:`save_signal` writes for ``path``: it and an image's or a
+    raw grid's sidecar."""
+    suffix = os.path.splitext(str(path))[1].lower()
+    sidecar = {".pgm": _META, ".f64": _DESC, ".raw": _DESC, ".bin": _DESC}.get(suffix)
+    return (str(path),) if sidecar is None else (str(path), str(path) + sidecar)

@@ -20,6 +20,7 @@ INDEX_CSV = ["deblur", "in.csv", "-o", "out.csv", "--method", "binomial",
              "--N", "12", "--window", "-4:4"]
 X_CSV = ["blur", "in.csv", "-o", "out.csv"]
 REFERENCE = INDEX_CSV + ["--reference", "ref.csv"]
+METRICS = INDEX_CSV[:2] + INDEX_CSV[4:] + ["--reference", "ref.csv"]
 ONE_ROW = "index,value\n0,1\n"
 PGM = ["blur", "in.pgm", "-o", "out.pgm"]
 RAW = ["blur", "in.f64", "-o", "out.f64"]
@@ -51,6 +52,16 @@ CORPUS = {
     "deblur-reference-bad-value": (REFERENCE, {"in.csv": ONE_ROW,
                                                "ref.csv": "index,value\n0,one\n"}, 2),
     "deblur-reference-mode": (REFERENCE, {"in.csv": ONE_ROW, "ref.csv": "x,value\n0.0,1\n"}, 3),
+    # a metrics file that would overwrite a file written for -o
+    "deblur-metrics-is-output": (METRICS + ["-o", "same.csv", "--metrics", "same.csv"],
+                                 {"in.csv": ONE_ROW, "ref.csv": ONE_ROW}, 2),
+    "deblur-metrics-is-raw-descriptor": (METRICS + ["-o", "r.f64", "--metrics", "r.f64.desc",
+                                                    "--mode", "float"],
+                                         {"in.csv": ONE_ROW, "ref.csv": ONE_ROW}, 2),
+    "deblur-metrics-is-pgm-sidecar": (["deblur", "in.f64", "-o", "r.pgm", "--method",
+                                       "analytic", "--band-limit", "3", "--reference",
+                                       "in.f64", "--metrics", "r.pgm.meta"],
+                                      {"in.f64": ONE * 4, "in.f64.desc": DESC_2D}, 2),
     # CSV on a general grid
     "x-not-uniform": (X_CSV, {"in.csv": "x,value\n0.0,1\n0.1,1\n0.3,1\n"}, 2),
     "x-bad-abscissa": (X_CSV, {"in.csv": "x,value\nzero,1\n"}, 2),
