@@ -167,8 +167,8 @@ def _cmd_blur(args) -> int:
 def _cmd_deblur(args) -> int:
     if args.metrics and not args.reference:
         return _usage("--metrics needs --reference to compare against")
-    outputs = [os.path.realpath(p) for p in dio.saved_files(args.output)]
-    if args.metrics and os.path.realpath(args.metrics) in outputs:
+    if args.metrics and os.path.realpath(args.metrics) in [
+            os.path.realpath(p) for p in dio.saved_files(args.output)]:
         return _usage(f"--metrics {args.metrics} is a file that -o {args.output} writes")
     method = args.method
     settings = {"command": "deblur", "method": method, "input": args.input}
