@@ -15,6 +15,12 @@ read-only.  An exact signal holds only ``Fraction`` values (integers are
 carried in as ``Fraction``); a float one holds no inf or NaN.  The float
 summaries (``max_abs``, ``l2_norm``, ``mass``) refuse a value past float64
 with ``NonFiniteResult`` in both modes.
+
+A function on Z^d of finite support is a measure's atoms or a lattice
+signal's box.  Three rules carry it between the two, each coded once here:
+``_summed`` gives a repeated point the sum of its weights in order,
+``_on_box`` places distinct points' values on their box (a float sample is
+``0.0 + v``), and ``_nonzero`` reads nonzero cells back as row-major points.
 """
 from __future__ import annotations
 
