@@ -14,10 +14,11 @@ its output files last, through ``io``.  The series of ``invert`` come from
 ``onesided.inverse``, and ``deblur`` applies its series through
 ``onesided.apply_on_window``.  Exit codes: 0 success (for
 verify: inverse confirmed), 1 verify found a residual above tolerance,
-2 usage trouble or an unreadable file, and otherwise the ``exit_code`` of
-the ``DeconvError`` that refused the run (2 parse error, 3 dimension or
-mode mismatch, 4 violated precondition or a float result past float64,
-5 insufficient truncation margin).
+2 usage trouble (such as a run that would write a file it reads, refused
+before any command runs) or an unreadable file, and otherwise the
+``exit_code`` of the ``DeconvError`` that refused the run (2 parse error,
+3 dimension or mode mismatch, 4 violated precondition or a float result
+past float64, 5 insufficient truncation margin).
 """
 from __future__ import annotations
 
@@ -100,6 +101,32 @@ def _echo(settings: dict) -> tuple[str, ...]:
     return tuple(f"{k}={_fmt(v)}" for k, v in sorted(settings.items()))
 
 
+def _file_key(path):
+    """Device and inode of an existing file, else the resolved path that will name it."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _overwrite(args) -> str | None:
+    """Why the run would write a file it reads (an input or its sidecar) or
+    one file twice; None if it would not."""
+    reads = [getattr(args, name, None) for name in ("lhs", "rhs", "kernel", "input", "reference")]
+    owner = {_file_key(path): f"would overwrite {path}, which the run reads"
+             for read in reads if read for path in dio.saved_files(read)}
+    writes = [(f"-o {args.output}", path) for path in dio.saved_files(args.output)]
+    if getattr(args, "metrics", None):
+        writes.append((f"--metrics {args.metrics}", args.metrics))
+    for flag, path in writes:
+        key = _file_key(path)
+        if key in owner:
+            return f"{flag} {owner[key]}"
+        owner[key] = f"is a file that {flag} writes"
+    return None
+
+
 def _usage(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return 2
@@ -167,9 +194,6 @@ def _cmd_blur(args) -> int:
 def _cmd_deblur(args) -> int:
     if args.metrics and not args.reference:
         return _usage("--metrics needs --reference to compare against")
-    if args.metrics and os.path.realpath(args.metrics) in [
-            os.path.realpath(p) for p in dio.saved_files(args.output)]:
-        return _usage(f"--metrics {args.metrics} is a file that -o {args.output} writes")
     method = args.method
     settings = {"command": "deblur", "method": method, "input": args.input}
     if method == "vancittert":
@@ -399,6 +423,8 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
+        if hasattr(args, "output") and (clash := _overwrite(args)):  # verify writes nothing
+            return _usage(clash)
         return globals()[f"_cmd_{args.command}"](args)
     except DeconvError as exc:
         return _fail(exc.exit_code, exc)

@@ -41,20 +41,15 @@ phase factors of :func:`dft_forward` and :func:`dft_inverse` cancel and are
 never formed.  Those two functions stay as the quadrature transform and its
 left inverse for callers that need the full complex spectrum.
 
-The tables that depend only on a grid's ``(shape, spacing)`` are built
-once per grid and kept, read-only, in ``functools.lru_cache`` caches:
-the transfer function (``TABLE_CACHE_GRIDS`` entries, keyed with the
-layout: half for blur and deblur, full for :func:`kernel_spectrum`),
-|u|^2 / 2 (``2 * TABLE_CACHE_GRIDS`` entries, so both layouts of
-``TABLE_CACHE_GRIDS`` grids stay warm: a deblur reads the half layout for
-the analytic amplifier and the band mask and the full layout for the
-``log_amplification`` every :class:`SpectrumDiagnostics` on the grid
-shares), and the rfft bin multiplicities of the last axis
-(``TABLE_CACHE_GRIDS`` axis lengths).  A blur and the deblurs after it on
-the same grid, or a noise ladder, reuse them.  On a 512^2 grid the
-half-layout tables take 1 MB each and the full one 2 MB; a 4096^2 grid's
-full table alone takes 134 MB, hence the small bounds.  Writing to a cached table
-raises; ``kernel_spectrum`` returns a fresh writable copy.
+The tables that depend only on a grid's ``(shape, spacing)`` (the
+half-layout transfer function, |u|^2 / 2 in the full layout with a view of
+its half layout, and the rfft bin multiplicities of the last axis) are
+built together, once per grid, and kept read-only in one
+``functools.lru_cache`` of ``TABLE_CACHE_GRIDS`` grids: a blur and the
+deblurs after it on the same grid, or a noise ladder, reuse one set.  On a
+512^2 grid the set takes 3 MB; a 4096^2 grid's |u|^2 / 2 alone takes
+134 MB, hence the small bound.  :func:`kernel_spectrum` builds its
+full-layout transfer function afresh on every call.
 """
 from __future__ import annotations
 
@@ -62,6 +57,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,36 +135,11 @@ def _require_float(f: GridSignal) -> None:
         raise ValueError("Fourier grids need at least 2 samples per axis")
 
 
-def _outer(parts, combine, half: bool) -> np.ndarray:
-    """Broadcast one fftfreq-layout 1D array per axis into a grid.
-
-    Axes are folded together with ``combine``; ``half`` keeps only the
-    bins of the last axis that the rfftn layout holds.
-    """
-    total = None
+def _outer(parts, combine) -> np.ndarray:
+    """Broadcast one 1D array per axis into a grid, folding the axes with ``combine``."""
     d = len(parts)
-    for ax, part in enumerate(parts):
-        if half and ax == d - 1:
-            part = part[: part.size // 2 + 1]
-        view = [1] * d
-        view[ax] = -1
-        part = part.reshape(view)
-        total = part if total is None else combine(total, part)
-    return total
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=2 * TABLE_CACHE_GRIDS)
-def _log_amplification(shape, spacing, half: bool) -> np.ndarray:
-    """|u|^2 / 2 per bin, in the rfftn layout when ``half``; cached, read-only."""
-    table = _outer([(2.0 * np.pi * np.fft.fftfreq(n, d=s)) ** 2 for n, s in zip(shape, spacing)],
-                   np.add, half)
-    table /= 2.0
-    return _read_only(table)
+    return functools.reduce(combine, [part.reshape([-1 if a == ax else 1 for a in range(d)])
+                                      for ax, part in enumerate(parts)])
 
 
 def dft_forward(f: GridSignal) -> Spectrum:
@@ -202,7 +173,7 @@ def fourier_at(f: GridSignal, u) -> complex:
     u = (float(u),) if f.dimension == 1 else tuple(float(v) for v in u)
     if len(u) != f.dimension:
         raise DimensionMismatch("2D signals need a 2-component frequency")
-    angle = _outer([v * f.axis_coordinates(ax) for ax, v in enumerate(u)], np.add, False)
+    angle = _outer([v * f.axis_coordinates(ax) for ax, v in enumerate(u)], np.add)
     return complex(np.sum(f.values * np.exp(1j * angle)) * float(np.prod(f.spacing)))
 
 
@@ -233,7 +204,7 @@ def sample_gaussian(spec: GaussianKernelSpec, shape, spacing, origin=None) -> Gr
                 f"axis {ax} covers [{origin[ax]}, {hi}]; the kernel needs "
                 f"[-{KERNEL_REACH}, {KERNEL_REACH}]")
     axes = [o + s * np.arange(n) for n, s, o in zip(shape, spacing, origin)]
-    vals = _outer([_UNIT_1D.density(x) for x in axes], np.multiply, False)
+    vals = _outer([_UNIT_1D.density(x) for x in axes], np.multiply)
     return GridSignal._own(vals, spacing, origin)
 
 
@@ -256,21 +227,32 @@ def _axis_transfer(n: int, spacing: float) -> np.ndarray:
     return np.fft.fft(_UNIT_1D.density(offsets)).real * spacing
 
 
+class _Tables(NamedTuple):
+    """A grid's read-only tables: the blur's transfer function (rfftn layout),
+    |u|^2 / 2 (fftfreq layout) and a view of its rfftn layout, and how many
+    full-layout bins each rfft bin of the last axis stands for."""
+
+    transfer: np.ndarray
+    log_amplification: np.ndarray
+    half_log_amplification: np.ndarray
+    multiplicity: np.ndarray
+
+
 @functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
-def _transfer_table(shape, spacing, half: bool) -> np.ndarray:
-    return _read_only(_outer([_axis_transfer(n, s) for n, s in zip(shape, spacing)],
-                             np.multiply, half))
-
-
-def _transfer(like: GridSignal, half: bool) -> np.ndarray:
-    """Real transfer function of the discrete periodic blur on ``like``'s grid.
-
-    The outer product of the per-axis spectra; ``half`` gives the rfftn
-    layout.  The table is cached and read-only; the grid is validated on
-    every call.
-    """
-    _validate_kernel_grid(like)
-    return _transfer_table(like.shape, like.spacing, half)
+def _tables(shape, spacing) -> _Tables:
+    """The cached tables of a ``(shape, spacing)`` grid.  Rfft bin k of a
+    length-n axis stands for k and n - k, which coincide when 2k = 0 (mod n)."""
+    log_amp = _outer([(2.0 * np.pi * np.fft.fftfreq(n, d=s)) ** 2
+                      for n, s in zip(shape, spacing)], np.add)
+    log_amp /= 2.0
+    k = np.arange(shape[-1] // 2 + 1)
+    transfer = [_axis_transfer(n, s) for n, s in zip(shape, spacing)]
+    transfer[-1] = transfer[-1][: k.size]
+    tables = _Tables(_outer(transfer, np.multiply), log_amp, log_amp[..., : k.size],
+                     np.where(2 * k % shape[-1] == 0, 1, 2))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def kernel_spectrum(spec: GaussianKernelSpec, like: GridSignal) -> np.ndarray:
@@ -283,7 +265,9 @@ def kernel_spectrum(spec: GaussianKernelSpec, like: GridSignal) -> np.ndarray:
     """
     if spec.dimension != like.dimension:
         raise DimensionMismatch("kernel and grid dimension differ")
-    return _transfer(like, half=False).astype(complex)
+    _validate_kernel_grid(like)
+    return _outer([_axis_transfer(n, s) for n, s in zip(like.shape, like.spacing)],
+                  np.multiply).astype(complex)
 
 
 def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
@@ -325,7 +309,8 @@ def blur(f: GridSignal) -> GridSignal:
     preserved up to the kernel's quadrature error.
     """
     padded = padded_for_blur(f)
-    return _filtered(padded, _transfer(padded, half=True))
+    _validate_kernel_grid(padded)
+    return _filtered(padded, _tables(padded.shape, padded.spacing).transfer)
 
 
 @dataclass(frozen=True)
@@ -370,18 +355,6 @@ def _logsumexp(values: np.ndarray, weights: np.ndarray) -> float:
     return m + math.log(float(np.sum(terms)))
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
-def _half_multiplicity(n: int) -> np.ndarray:
-    """How many full-layout bins each rfft bin of a length-n axis stands for.
-
-    Bin k stands for itself and its mirror n - k; the two coincide when
-    2k = 0 (mod n), i.e. at DC and, for even n, at Nyquist.  Cached,
-    read-only.
-    """
-    k = np.arange(n // 2 + 1)
-    return _read_only(np.where(2 * k % n == 0, 1, 2))
-
-
 def _deblur_plan(g: GridSignal, method: str, band_limit: float | None,
                  reciprocal_floor: float | None) -> tuple[np.ndarray, SpectrumDiagnostics]:
     """The checks, half-layout multiplier and diagnostics of a deblur on ``g``'s grid.
@@ -397,14 +370,14 @@ def _deblur_plan(g: GridSignal, method: str, band_limit: float | None,
         raise ParameterOutOfRange("band_limit must be positive")
     if reciprocal_floor is not None and math.isnan(reciprocal_floor):
         raise ParameterOutOfRange("reciprocal_floor must not be NaN")
-    log_amp = _log_amplification(g.shape, g.spacing, True)
+    transfer, full_log_amp, log_amp, multiplicity = _tables(g.shape, g.spacing)
     try:
         edge = (math.inf if band_limit is None else float(band_limit)) ** 2 / 2.0
     except OverflowError:  # a band limit past 1.3e154 bounds no bin
         edge = math.inf
     mask = log_amp <= edge
     if method == "discrete-reciprocal":
-        transfer = _transfer(g, half=True)
+        _validate_kernel_grid(g)
         magnitude = np.abs(transfer)
         if reciprocal_floor is None or reciprocal_floor <= 0:
             lowest = float(np.min(magnitude[mask])) if mask.any() else 1.0
@@ -421,7 +394,7 @@ def _deblur_plan(g: GridSignal, method: str, band_limit: float | None,
         floor_used = None
         multiplier = np.exp(log_amp, out=np.zeros_like(log_amp), where=mask)
         gain = log_amp[mask]
-    counts = np.broadcast_to(_half_multiplicity(g.shape[-1]), mask.shape)[mask]
+    counts = np.broadcast_to(multiplicity, mask.shape)[mask]
     applied = int(counts.sum())
     if applied:
         cell = float(np.prod(g.spacing))
@@ -434,7 +407,7 @@ def _deblur_plan(g: GridSignal, method: str, band_limit: float | None,
         method=method,
         band_limit=None if band_limit is None else float(band_limit),
         reciprocal_floor=floor_used,
-        log_amplification=_log_amplification(g.shape, g.spacing, False),
+        log_amplification=full_log_amp,
         max_log_amplification=max_log,
         noise_gain_log=noise_gain_log,
         applied_bins=applied,

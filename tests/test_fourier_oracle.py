@@ -75,12 +75,13 @@ def test_blur_matches_oracle(f):
     _close(blur(f), oracle.blur(f))
 
 
-def _deblur_matches(g, method, band_limit, peak, amplified=False):
-    """Compare values and diagnostics.  With ``amplified``, the value
-    tolerance grows to the forward transform's rounding error (eps of the
-    peak) times the largest gain applied, when that exceeds 1e-9."""
-    new, diag = naive_deblur(g, method, band_limit=band_limit)
-    old, want = oracle.naive_deblur(g, method, band_limit=band_limit)
+def _deblur_matches(g, method, band_limit, peak, amplified=False, reciprocal_floor=1e-8):
+    """Compare values and diagnostics; return the deblur.  With ``amplified``,
+    the value tolerance grows to the forward transform's rounding error (eps
+    of the peak) times the largest gain applied, when that exceeds 1e-9."""
+    new, diag = naive_deblur(g, method, band_limit=band_limit, reciprocal_floor=reciprocal_floor)
+    old, want = oracle.naive_deblur(g, method, band_limit=band_limit,
+                                    reciprocal_floor=reciprocal_floor)
     gain = math.exp(want["max_log_amplification"])
     _close(new, old, peak, max(1e-9, EPS * gain) if amplified else 1e-9)
     assert diag.applied_bins == want["applied_bins"]
@@ -91,6 +92,7 @@ def _deblur_matches(g, method, band_limit, peak, amplified=False):
         assert diag.noise_gain_log is None
     else:
         assert diag.noise_gain_log == pytest.approx(want["noise_gain_log"], rel=1e-9)
+    return new, diag
 
 
 # Deblurring a periodic blur of smooth bumps on their own grid recovers the
@@ -125,6 +127,32 @@ def test_odd_and_even_shapes_count_mirror_bins(shape):
     for method, band_limit in (("discrete-reciprocal", None), ("discrete-reciprocal", 4.0),
                                ("analytic-amplifier", 4.0)):
         _deblur_matches(g, method, band_limit, 1.0, amplified=True)
+
+
+# On a spacing-0.5 grid every bin of the transfer function stays above 1e-300,
+# so a floor of None or 0 divides by every bin in the band.  In 2D the corner
+# bins fall to 1e-17, below the rounding of the oracle's 2D FFT, so there the
+# band stops at 4, where the transfer is above 3e-4.
+@pytest.mark.parametrize("shape, band_limit", [((32,), None), ((33,), None),
+                                               ((24, 27), 4.0)])
+def test_reciprocal_without_a_floor_divides_every_bin_as_the_oracle_does(shape, band_limit):
+    f = _smooth(shape, (0.5,) * len(shape))
+    g = oracle.periodic_blur(f)
+    zero = _deblur_matches(g, "discrete-reciprocal", band_limit, _peak(f), amplified=True,
+                           reciprocal_floor=0.0)
+    none = naive_deblur(g, "discrete-reciprocal", band_limit=band_limit, reciprocal_floor=None)
+    assert _bytes(none) == _bytes(zero)
+    assert none[1].reciprocal_floor is None
+
+
+@pytest.mark.parametrize("shape", [(32,), (24, 27)])
+def test_a_floor_above_every_transfer_bin_applies_none(shape):
+    f = _smooth(shape, (0.5,) * len(shape))
+    out, diag = _deblur_matches(oracle.periodic_blur(f), "discrete-reciprocal", None,
+                                _peak(f), reciprocal_floor=2.0)
+    assert not out.values.any()
+    assert (diag.applied_bins, diag.noise_gain_log, diag.max_log_amplification) == (0, None, 0.0)
+    assert diag.reciprocal_floor == 2.0
 
 
 @pytest.mark.parametrize("shape", [(64,), (47,), (32, 40), (31, 33)])
@@ -191,6 +219,14 @@ def test_cold_and_warm_tables_give_the_same_bytes_and_match_the_oracle(shape, sp
     assert noise_diag.applied_bins == want["applied_bins"]
 
 
+def test_a_blur_both_deblurs_and_a_noise_run_on_one_grid_build_one_table_set():
+    f = _smooth((200,), (0.1,))
+    _clear_tables()
+    _pipeline(f)
+    info = gaussian._tables.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
 def test_grids_of_one_shape_and_different_spacings_get_their_own_tables():
     spec = GaussianKernelSpec(1)
     likes = [GridSignal(np.zeros(64), s, 0.0) for s in (0.25, 0.4, 0.25, 0.4)]
@@ -211,8 +247,7 @@ def test_cached_tables_refuse_writes_and_kernel_spectrum_returns_a_copy():
     _, diag = naive_deblur(before, "analytic-amplifier", band_limit=4.0)
     with pytest.raises(ValueError):
         diag.log_amplification[0] = 1.0
-    for table in (gaussian._transfer_table(padded.shape, padded.spacing, True),
-                  gaussian._log_amplification(padded.shape, padded.spacing, True)):
+    for table in gaussian._tables(padded.shape, padded.spacing):
         with pytest.raises(ValueError):
             table[0] = 1.0
     spectrum = kernel_spectrum(GaussianKernelSpec(1), padded)
@@ -229,8 +264,9 @@ def test_log_amplification_is_the_oracle_norm_halved(grid):
     shape, spacing = grid
     full = oracle._freq_norm_sq(shape, spacing) / 2.0
     half = full[..., : shape[-1] // 2 + 1]
-    for layout, want in ((False, full), (True, half)):
-        table = gaussian._log_amplification(shape, spacing, layout)
+    tables = gaussian._tables(shape, spacing)
+    for table, want in ((tables.log_amplification, full),
+                        (tables.half_log_amplification, half)):
         assert table.dtype == want.dtype and table.shape == want.shape
         assert table.tobytes() == want.tobytes()
 

@@ -1,7 +1,8 @@
 """Every reader refuses malformed files with its documented exit code.
 
 Each row names the input files, the command that reads them and the
-expected exit code of ``deconv``; no row may leave an output file behind.
+expected exit code of ``deconv``; no row may leave an output file behind
+or change an input.
 """
 import struct
 
@@ -62,6 +63,18 @@ CORPUS = {
                                        "analytic", "--band-limit", "3", "--reference",
                                        "in.f64", "--metrics", "r.pgm.meta"],
                                       {"in.f64": ONE * 4, "in.f64.desc": DESC_2D}, 2),
+    # an output that is a file the run reads
+    "deblur-metrics-is-reference": (METRICS + ["-o", "out.csv", "--metrics", "ref.csv"],
+                                    {"in.csv": ONE_ROW, "ref.csv": ONE_ROW}, 2),
+    "deblur-output-is-input": (INDEX_CSV[:3] + ["in.csv"] + INDEX_CSV[4:],
+                               {"in.csv": ONE_ROW}, 2),
+    "deblur-output-is-reference-descriptor": (["deblur", "in.csv", "-o", "ref.f64.desc",
+                                               "--method", "analytic", "--reference",
+                                               "ref.f64"],
+                                              {"in.csv": ONE_ROW, "ref.f64": ONE * 2,
+                                               "ref.f64.desc": DESC_1D}, 2),
+    "convolve-output-is-input": (["convolve", "in.txt", "one.txt", "-o", "in.txt"],
+                                 {"in.txt": "0 1\n", "one.txt": "0 1\n"}, 2),
     # CSV on a general grid
     "x-not-uniform": (X_CSV, {"in.csv": "x,value\n0.0,1\n0.1,1\n0.3,1\n"}, 2),
     "x-bad-abscissa": (X_CSV, {"in.csv": "x,value\nzero,1\n"}, 2),
@@ -110,12 +123,9 @@ CORPUS = {
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_malformed_input_exit_code(tmp_path, monkeypatch, case):
     argv, files, code = CORPUS[case]
+    files = {name: c if isinstance(c, bytes) else c.encode() for name, c in files.items()}
     for name, content in files.items():
-        target = tmp_path / name
-        if isinstance(content, bytes):
-            target.write_bytes(content)
-        else:
-            target.write_text(content)
+        (tmp_path / name).write_bytes(content)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
