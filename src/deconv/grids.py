@@ -75,9 +75,13 @@ def _zero_array(shape, mode: str) -> np.ndarray:
 def _placed(values: np.ndarray, offset, shape) -> np.ndarray:
     """Zeros of ``shape`` in the arithmetic of ``values``, with ``values``
     pasted at the integer ``offset`` and clipped to the box."""
-    out = _zero_array(shape, EXACT if values.dtype == object else FLOAT)
+    return _pasted(values, offset, _zero_array(shape, EXACT if values.dtype == object else FLOAT))
+
+
+def _pasted(values: np.ndarray, offset, out: np.ndarray) -> np.ndarray:
+    """``out`` with ``values`` pasted at the integer ``offset``, clipped to its box."""
     src, dst = [], []
-    for off, n, size in zip(offset, values.shape, shape):
+    for off, n, size in zip(offset, values.shape, out.shape):
         a, b = max(off, 0), min(off + n, size)
         if a >= b:
             return out

@@ -17,7 +17,9 @@ for d in {1, 2}:
   the atom-by-atom definition gives, so float results keep their bytes;
 * measures, signals and exact series are one array type, ``_Dense``; a
   convolution power and a Neumann series are polynomials in one such
-  array, evaluated by one Horner loop, ``_horner``;
+  array, evaluated by Horner's rule, ``_horner``, on one packed integer
+  while its slots are narrow (Kronecker substitution) and on the array
+  otherwise;
 * measure * measure keeps ``_convolve_core``, whose float sums, atom order
   and sparse slots the oracles pin; the benchmark's exact Neumann steps
   ran 2.6 to 2.9 times slower through it (its 2D power steps about even).
@@ -39,7 +41,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .errors import DimensionMismatch, ModeMismatch, NonFiniteResult
-from .grids import EXACT, FLOAT, GridSignal, _nonzero, _summed, _window_bounds, _zero_array
+from .grids import EXACT, FLOAT, GridSignal, _nonzero, _pasted, _summed, _window_bounds
 
 Point = tuple[int, ...]
 Weight = Union[Fraction, float]
@@ -89,6 +91,9 @@ def _pruned(store: dict, mode: str) -> dict:
 _PASS_PRODUCTS = 1 << 16  # products formed per pass; bounds the core's scratch memory
 _SPARSE_CELLS = 8         # a result box with more cells than this per product is
                           # indexed by the cells the products hit, not by all of them
+_PACKED_BITS = (896, 256)  # widest slot, in bits, of a series packed into one int, in 1D
+                           # and 2D; the arrays were faster from about 1,000 to 1,750 bits
+                           # in 1D and from 280 to 500 bits in 2D, by series
 
 
 def _box(points) -> tuple[Point, Point]:
@@ -192,8 +197,13 @@ class _Dense:
 
     The value at ``lo + i`` is ``nums[i] / den``, FLINT's ``fmpq_poly``
     layout on a box: Python-int numerators for exact values, float64 over 1
-    for float ones.  Exact ``Fraction``s are formed once, by :meth:`measure`
-    or :meth:`signal`.
+    for float ones.  Products, differences and re-boxings (:meth:`convolve`,
+    :meth:`minus`, :meth:`on_box`) keep that layout, so a chain of them, such
+    as ``onesided.reconstruct``'s blur, unblur and spill, adds and multiplies
+    integers; exact ``Fraction``s are formed once, by :meth:`measure` or
+    :meth:`signal`.  A series may run on one packed int instead (see
+    :func:`_horner` for the slot width and when, :func:`_packed_horner` for
+    the slots), which is unpacked into this layout.
     """
 
     __slots__ = ("lo", "nums", "den")
@@ -203,10 +213,14 @@ class _Dense:
 
     @classmethod
     def of(cls, value: Union["AtomicMeasure", GridSignal]) -> "_Dense":
-        """A nonzero measure on the box of its atoms, or a lattice signal on its grid."""
+        """A measure on the box of its atoms (a zero one on the origin), or a
+        lattice signal on its grid."""
         if isinstance(value, GridSignal):
             nums, den = _common_scale(value.values.ravel(), value.mode)
             return cls(value.lattice_origin(), nums.reshape(value.shape), den)
+        if value.is_zero:
+            dtype = object if value.mode == EXACT else np.float64
+            return cls((0,) * value.dimension, np.zeros((1,) * value.dimension, dtype), 1)
         points, weights = zip(*value.atoms.items())
         lo, hi = _box(points)
         nums, den = _common_scale(weights, value.mode)
@@ -222,6 +236,23 @@ class _Dense:
         """``c delta_0`` added in place, as one integer add; the box must hold the origin."""
         self.nums[tuple(-low for low in self.lo)] += c * self.den
         return self
+
+    def on_box(self, lo: Point, shape) -> "_Dense":
+        """This value on the box of ``shape`` from ``lo``: zero where it has no
+        cell, and cut off outside the box."""
+        offset = tuple(a - b for a, b in zip(self.lo, lo))
+        return _Dense(lo, _pasted(self.nums, offset, np.zeros(shape, self.nums.dtype)), self.den)
+
+    def minus(self, other: "_Dense") -> "_Dense":
+        """``self - other`` on the box of both, over the lcm of the denominators;
+        a float cell is ``a - b`` with 0.0 for a missing cell, as in ``GridSignal``."""
+        lo = tuple(map(min, self.lo, other.lo))
+        shape = tuple(max(a + m, b + n) - c for a, m, b, n, c in
+                      zip(self.lo, self.nums.shape, other.lo, other.nums.shape, lo))
+        den = math.lcm(self.den, other.den)
+        nums = self.on_box(lo, shape).nums * (den // self.den)
+        nums -= other.on_box(lo, shape).nums * (den // other.den)
+        return _Dense(lo, nums, den)
 
     def measure(self, like: "AtomicMeasure", scale=1) -> "AtomicMeasure":
         """``scale`` times this exact value, as a measure of ``like``'s dimension."""
@@ -240,17 +271,71 @@ class _Dense:
 
 
 def _horner(x: _Dense, coeffs) -> _Dense:
-    """``sum_k coeffs[k] x^{*k}`` for exact x, by Horner's rule (Knuth, TAOCP 4.6.4).
+    """``sum_k coeffs[k] x^{*k}`` for nonzero exact x, by Horner's rule (Knuth,
+    TAOCP 4.6.4).
 
     Each degree is one convolution with x and, for a nonzero coefficient,
-    one integer add at the origin, which x's box must then hold.
+    one integer add at the origin, which x's box must then hold.  The result
+    is ``N / den^n`` on n times x's box, where every numerator has
+    ``|N| <= sum|c| max(l1(x), den)^n`` (l1 over x's numerators), so a slot
+    of ``width`` bits holds it with its sign.  While ``width`` is at most
+    ``_PACKED_BITS`` for x's dimension the sum runs on one packed integer
+    (:func:`_packed_horner`); past that, on the array, one shifted sum per
+    degree, which is then faster.
     """
+    n = len(coeffs) - 1
+    width = (n * max(sum(map(abs, x.nums.ravel().tolist())), x.den).bit_length()
+             + sum(map(abs, coeffs)).bit_length() + 2)
+    if width <= _PACKED_BITS[len(x.lo) - 1]:
+        return _packed_horner(x, coeffs, -(-width // 8))
     value = _Dense((0,) * len(x.lo), np.full((1,) * len(x.lo), coeffs[-1], dtype=object), 1)
     for c in reversed(coeffs[:-1]):
         value = value.convolve(x)
         if c:
             value.add_unit(c)
     return value
+
+
+def _packed_horner(x: _Dense, coeffs, slot_bytes: int) -> _Dense:
+    """:func:`_horner` on one Python int with slots of ``slot_bytes`` bytes, by
+    Kronecker substitution (as FLINT's ``fmpz_poly`` multiplication; Harvey,
+    J. Symb. Comput. 44, 2009).
+
+    Cell i of the result's box, row-major with rows strided by the final
+    box's width, is the i-th slot of ``w = 8 slot_bytes`` bits, and the
+    degree-k value occupies the same layout from slot 0.  A degree is one
+    ``(value * v) << shift`` per nonzero cell of x (one product per distinct
+    numerator v) and one shifted add at the origin.  The int is unpacked
+    once: ``2^(w-1)`` added to every slot makes each one nonnegative, so one
+    ``to_bytes`` splits it into slots.
+    """
+    n = len(coeffs) - 1
+    shape = tuple(n * (m - 1) + 1 for m in x.nums.shape)
+    strides = _strides(shape)
+    bits = 8 * slot_bytes
+    cells = np.nonzero(x.nums)
+    shifts = {}  # numerator -> shifts of the cells of x that hold it
+    for q, v in zip(zip(*(c.tolist() for c in cells)), x.nums[cells].tolist()):
+        shifts.setdefault(v, []).append(bits * sum(c * s for c, s in zip(q, strides)))
+    origin = bits * sum(-low * s for low, s in zip(x.lo, strides))
+    value, den = coeffs[-1], 1
+    for k, c in enumerate(reversed(coeffs[:-1]), 1):
+        terms = []
+        for v, at in shifts.items():
+            product = value * v
+            terms += [product << shift for shift in at]
+        value = sum(terms[1:], terms[0])
+        den *= x.den
+        if c:
+            value += c * den << k * origin
+    size = math.prod(shape)
+    half = 1 << bits - 1
+    raw = (value + int.from_bytes((bytes(slot_bytes - 1) + b"\x80") * size, "little")
+           ).to_bytes(slot_bytes * size, "little")
+    nums = [int.from_bytes(raw[i:i + slot_bytes], "little") - half
+            for i in range(0, len(raw), slot_bytes)]
+    return _Dense(tuple(n * low for low in x.lo),
+                  np.array(nums, dtype=object).reshape(shape), den)
 
 
 def _dense_powers(m: "AtomicMeasure") -> bool:
@@ -589,6 +674,14 @@ def is_zero_divisor_pair(t: AtomicMeasure, d: AtomicMeasure, window, tol=None) -
 
 def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
     """Convolve a lattice signal with a measure: g(p) = sum_q m(q) f(p - q)."""
+    _check_applicable(f, m)
+    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
+        return _Dense.of(f).convolve(_Dense.of(m)).signal(f)
+
+
+def _check_applicable(f: GridSignal, m: AtomicMeasure) -> None:
+    """Refuse a signal that m cannot act on: not a lattice signal, or not of m's
+    dimension and mode."""
     if not isinstance(f, GridSignal):
         raise TypeError("apply_to_signal expects a GridSignal first argument")
     if not f.is_lattice:
@@ -598,7 +691,3 @@ def apply_to_signal(f: GridSignal, m: AtomicMeasure) -> GridSignal:
             f"cannot apply a {m.dimension}D measure to a {f.dimension}D signal")
     if f.mode != m.mode:
         raise ModeMismatch(f"signal mode {f.mode} does not match measure mode {m.mode}")
-    if m.is_zero:
-        return GridSignal._own(_zero_array(f.shape, f.mode), f.spacing, f.origin)
-    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
-        return _Dense.of(f).convolve(_Dense.of(m)).signal(f)

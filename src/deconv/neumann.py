@@ -121,13 +121,14 @@ def _inverse(mu: AtomicMeasure, config: NeumannConfig,
     unit = AtomicMeasure.unit(mu.dimension, mu.mode)
     kernel = unit + mu
     if not mu.is_zero and _dense_powers(kernel):
-        nu, residual = _dense_series(mu, kernel, n, scale)
+        nu, residual, residual_norm = _dense_series(mu, kernel, n, scale)
     else:
         nu = term = unit
         for k in range(1, n + 1):
             term = term.convolve(mu)
             nu = nu + (term if k % 2 == 0 else -term)
         residual = _residual(kernel, nu)
+        residual_norm = residual.total_variation()
         if scale != 1:
             nu = nu.scale(scale)
     return nu, NeumannReport(
@@ -135,22 +136,26 @@ def _inverse(mu: AtomicMeasure, config: NeumannConfig,
         mu_norm=norm,
         bound=norm ** (n + 1),
         residual=residual,
-        residual_norm=residual.total_variation(),
+        residual_norm=residual_norm,
     )
 
 
 def _dense_series(mu: AtomicMeasure, kernel: AtomicMeasure, n: int,
-                  scale) -> tuple[AtomicMeasure, AtomicMeasure]:
-    """``scale * nu_n`` and the residual ``kernel * nu_n - delta_0``, each on one array.
+                  scale) -> tuple[AtomicMeasure, AtomicMeasure, Fraction]:
+    """``scale * nu_n``, the residual ``kernel * nu_n - delta_0`` and its total
+    variation, each from one array.
 
     ``nu_n`` is the polynomial ``sum_k (-1)^k x^{*k}`` in x = mu on the
     kernel's box (which holds the origin even when mu's atoms do not), by
     :func:`measures._horner`; the residual is ``nu_n`` convolved with the
-    kernel, less delta_0.  Only the two results become ``Fraction``s.
+    kernel, less delta_0, and its norm is the sum of its numerators' absolute
+    values over their denominator.  Only the three results become ``Fraction``s.
     """
     kern = _Dense.of(kernel)
     nu = _horner(_Dense.of(kernel).add_unit(-1), [(-1) ** k for k in range(n + 1)])
-    return nu.measure(mu, scale), nu.convolve(kern).add_unit(-1).measure(mu)
+    residual = nu.convolve(kern).add_unit(-1)
+    norm = Fraction(sum(map(abs, residual.nums.ravel().tolist())), residual.den)
+    return nu.measure(mu, scale), residual.measure(mu), norm
 
 
 def factor_at_origin(kernel: AtomicMeasure) -> tuple[Fraction | float, AtomicMeasure]:

@@ -28,16 +28,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     InsufficientTruncation,
+    NonFiniteResult,
     ParameterOutOfRange,
     UnsupportedKernel,
 )
-from .grids import EXACT, GridSignal
+from .grids import EXACT, GridSignal, _nonzero
 from .measures import (
     AtomicMeasure,
     WindowSpec,
+    _check_applicable,
+    _Dense,
     _residual,
     apply_to_signal,
     coerce_weight,
@@ -312,6 +317,13 @@ def _margin_of(f: GridSignal, kernel: AtomicMeasure,
     return s, _require_margin(inverse, s)
 
 
+def _finite(value: _Dense) -> _Dense:
+    """A float value refused, as a ``GridSignal`` would be, if a cell is inf or NaN."""
+    if value.nums.dtype != object and not np.isfinite(value.nums).all():
+        raise NonFiniteResult("signal samples must be finite")
+    return value
+
+
 def reconstruct(f: GridSignal, kernel: AtomicMeasure,
                 inverse: TruncatedSeries) -> tuple[GridSignal, MarginReport]:
     """Blur ``f`` with ``kernel`` and unblur with a truncated series inverse.
@@ -320,15 +332,27 @@ def reconstruct(f: GridSignal, kernel: AtomicMeasure,
     ``[-s, s]`` of ``f`` plus a margin report locating whatever boundary
     contamination landed outside that window.  In exact mode the
     restricted part reproduces ``f`` atom for atom whenever the margin
-    precondition holds.
+    precondition holds.  Blur, unblur and spill run on one integer array
+    (float: in ``apply_to_signal``'s order), and ``Fraction``s are formed
+    only for [-s, s] and the nonzero spill cells.
     """
     s, dist = _margin_of(f, kernel, inverse)
-    blurred = apply_to_signal(f, kernel)
-    full = apply_to_signal(blurred, inverse.measure)
-    restricted = full.restrict((-s, s))
-    spill = (full - f).lattice_dict()
-    contamination = tuple(sorted(spill.items()))
-    max_cont = max((abs(v) for v in spill.values()), default=f._zero())
+    _check_applicable(f, kernel)
+    signal = _Dense.of(f)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf and NaN
+        blurred = _finite(signal.convolve(_Dense.of(kernel)))
+        _check_applicable(f, inverse.measure)
+        full = _finite(blurred.convolve(_Dense.of(inverse.measure)))
+        spill = _finite(full.minus(signal))
+    restricted = full.on_box((-s,), (2 * s + 1,)).signal(f)
+    points, values = _nonzero(spill.nums, spill.lo)
+    if f.mode == EXACT:
+        nums = values.tolist()
+        values = [Fraction(n, spill.den) for n in nums]
+        max_cont = Fraction(max(map(abs, nums), default=0), spill.den)
+    else:
+        max_cont = max((abs(v) for v in values), default=0.0)
+    contamination = tuple(zip(points, values))
     report = MarginReport(
         support_radius=s,
         halfwidth=inverse.halfwidth,

@@ -6,9 +6,11 @@ onto one array core: every product is added to a ``Fraction`` or float
 accumulator as it is formed, exact sums pay a gcd on each addition, and a
 float sum adds its products in the order the loops meet them.
 ``neumann_inverse`` and ``power`` are the loops of measures that the
-exact series ran before they moved onto one integer-numerator array.  The
-tests compare the library with these results atom for atom in exact mode
-and bit for bit in float mode, atom order included where floats are summed.
+exact series ran before they moved onto one integer-numerator array, and
+``reconstruct`` is the blur, unblur and spill that ran on signals of
+``Fraction``s before they moved onto one.  The tests compare the library
+with these results atom for atom in exact mode and bit for bit in float
+mode, atom order included where floats are summed.
 """
 from __future__ import annotations
 
@@ -17,8 +19,10 @@ from fractions import Fraction
 import numpy as np
 
 from deconv import EXACT, AtomicMeasure, GridSignal, NeumannReport, NormNotLessThanOne
+from deconv import apply_to_signal as library_apply
 from deconv.grids import _zero_array
 from deconv.neumann import _pick_order
+from deconv.onesided import MarginReport, _margin_of
 
 
 def convolve(a: AtomicMeasure, b: AtomicMeasure) -> AtomicMeasure:
@@ -80,3 +84,24 @@ def neumann_inverse(mu: AtomicMeasure, config) -> tuple[AtomicMeasure, NeumannRe
         residual=residual,
         residual_norm=residual.total_variation(),
     )
+
+
+def reconstruct(f: GridSignal, kernel: AtomicMeasure, inverse):
+    """Blur f, unblur it with the series, and read the spill off ``full - f``,
+    each step a signal of ``Fraction``s (or floats) made by ``apply_to_signal``."""
+    s, dist = _margin_of(f, kernel, inverse)
+    blurred = library_apply(f, kernel)
+    full = library_apply(blurred, inverse.measure)
+    restricted = full.restrict((-s, s))
+    spill = (full - f).lattice_dict()
+    contamination = tuple(sorted(spill.items()))
+    max_cont = max((abs(v) for v in spill.values()), default=f._zero())
+    report = MarginReport(
+        support_radius=s,
+        halfwidth=inverse.halfwidth,
+        boundary_distance=dist,
+        sufficient_halfwidth=2 * s + 3,
+        contamination=contamination,
+        max_contamination=max_cont,
+    )
+    return restricted, report

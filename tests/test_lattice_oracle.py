@@ -6,11 +6,12 @@ oracle's order, since float sums taken later (``total_variation``, the next
 convolution) add in that order.  Core products list exact atoms in the
 oracle's order too; exact series list theirs by position.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import lattice_oracle as oracle
@@ -20,14 +21,23 @@ from deconv import (
     AtomicMeasure,
     DeconvError,
     GridSignal,
+    InsufficientTruncation,
+    ModeMismatch,
     NeumannConfig,
     NonFiniteResult,
+    Side,
     apply_to_signal,
+    binomial_inverse,
+    binomial_kernel,
     dirac,
     from_atoms,
     neumann_inverse,
+    reconstruct,
+    series_inverse,
+    symmetric_inverse,
 )
-from deconv.measures import _dense_powers
+from deconv import measures
+from deconv.measures import _Dense, _dense_powers
 from deconv.neumann import factor_at_origin, neumann
 
 NARROW = st.integers(-6, 6)
@@ -305,3 +315,168 @@ def test_series_over_unrelated_denominators_match_oracle():
     m = from_atoms({(i, j): Fraction((3 * i + j) % 6 + 1, 7)
                     for i in (-1, 0, 1) for j in (-1, 0, 1)})
     assert series_view(m.power(6)) == series_view(oracle.power(m, 6))
+
+
+# --- Horner on one packed int against the array loop ------------------------------
+
+
+def horner_on(x, coeffs, packed_bits):
+    """``measures._horner`` with every ``_PACKED_BITS`` set: 0 runs the array
+    loop, ``math.inf`` the packed int, whatever the slot width."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_PACKED_BITS", (packed_bits, packed_bits))
+        return measures._horner(x, coeffs)
+
+
+def dense_view(d):
+    assert all(type(n) is int for n in d.nums.flat)
+    return d.lo, d.den, d.nums.tolist()
+
+
+def slot_width(x, coeffs):
+    """The bound the ``_horner`` docstring states, in bits."""
+    l1 = sum(abs(n) for n in x.nums.flat)
+    return ((len(coeffs) - 1) * max(l1, x.den).bit_length()
+            + sum(map(abs, coeffs)).bit_length() + 2)
+
+
+@st.composite
+def horner_cases(draw):
+    """(x, coeffs): a nonzero x on a box of up to 4 cells per axis that holds the
+    origin (often on its edge), numerators with signs and zeros, any positive
+    denominator, and n + 1 coefficients with zeros among them."""
+    dimension = draw(st.sampled_from((1, 2)))
+    shape = draw(st.tuples(*[st.integers(1, 4)] * dimension))
+    at = tuple(draw(st.sampled_from((0, n - 1)) | st.integers(0, n - 1)) for n in shape)
+    count = math.prod(shape)
+    nums = draw(st.lists(st.sampled_from((0, 1, -1)) | st.integers(-10**6, 10**6),
+                         min_size=count, max_size=count))
+    assume(any(nums))
+    den = draw(st.sampled_from((1, 7)) | st.integers(1, 10**6))
+    n = draw(st.integers(0, 40 if dimension == 1 else 10))
+    coeffs = draw(st.lists(st.just(0) | st.integers(-9, 9), min_size=n + 1, max_size=n + 1))
+    nums = np.array(nums, dtype=object).reshape(shape)
+    return _Dense(tuple(-a for a in at), nums, den), coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(horner_cases())
+@example((_Dense((0,), np.array([5], dtype=object), 3), [1, -2, 0, 4, 0, 0, 7]))
+@example((_Dense((0, 0), np.array([[-1]], dtype=object), 1), [0] * 9 + [1]))
+@example((_Dense((-1,), np.array([1, 1], dtype=object), 1), [1] * 41))  # the bound is met
+def test_packed_horner_matches_the_array_loop(case):
+    x, coeffs = case
+    assert dense_view(horner_on(x, coeffs, math.inf)) == dense_view(horner_on(x, coeffs, 0))
+
+
+@pytest.mark.parametrize("x", [
+    _Dense((-1,), np.array([3, 0, 5], dtype=object), 7),
+    _Dense((-1, 0), np.array([[1, 2], [0, 3], [-2, 1]], dtype=object), 7),
+], ids=["1d", "2d"])
+def test_horner_packs_up_to_the_crossover_and_not_past_it(x, monkeypatch):
+    """The last order packed and the first one left on the array, each equal to
+    the array loop's result."""
+    def series(n):
+        return [(-1) ** k for k in range(n + 1)]
+
+    n = 0
+    while slot_width(x, series(n + 1)) <= measures._PACKED_BITS[len(x.lo) - 1]:
+        n += 1
+    packed = []
+    real = measures._packed_horner
+
+    def spy(*args):
+        packed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(measures, "_packed_horner", spy)
+    for order, was_packed in ((n, True), (n + 1, False)):
+        packed.clear()
+        got = measures._horner(x, series(order))
+        assert bool(packed) is was_packed
+        assert dense_view(got) == dense_view(horner_on(x, series(order), 0))
+
+
+# --- reconstruct against the blur, unblur and spill on signals --------------------
+
+
+def attempt(fn, *args):
+    """The result of fn, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (DeconvError, ValueError) as exc:
+        return type(exc)
+
+
+def reconstruction_view(result):
+    """The restricted signal by repr (exact) or bytes (float), and the report by repr."""
+    if isinstance(result, type):
+        return result
+    g, report = result
+    values = repr(g.values.tolist()) if g.mode == EXACT else g.values.tobytes()
+    return g.origin, g.spacing, g.values.dtype.str, values, repr(report)
+
+
+@st.composite
+def reconstructions(draw):
+    """(f, kernel, series): a 1D kernel of up to three atoms, its symmetric or a
+    one-sided series, and a lattice signal; float cases reach past float64, and
+    some pass a kernel or signal of the other mode or off the lattice."""
+    mode = draw(st.sampled_from((EXACT, FLOAT)))
+    wide = st.floats(-1e200, 1e200, allow_nan=False).filter(bool)
+    weight = (st.fractions(-3, 3, max_denominator=9).filter(bool) if mode == EXACT
+              else st.floats(-3, 3, allow_nan=False).filter(bool) | wide)
+    atoms = draw(st.dictionaries(st.integers(-2, 2), weight, min_size=1, max_size=3))
+    kernel = from_atoms(atoms, mode=mode)
+    try:
+        if draw(st.booleans()):
+            series = symmetric_inverse(kernel, draw(st.integers(1, 12)))
+        else:
+            series = series_inverse(kernel, draw(st.sampled_from(list(Side))),
+                                    draw(st.integers(1, 25)))
+    except DeconvError:  # a float series past float64
+        reject()
+    values = draw(st.lists(weight | st.just(0), min_size=1, max_size=9))
+    f = GridSignal(np.array(values, dtype=object if mode == EXACT else float),
+                   1.0, draw(st.integers(-5, 5)))
+    other = draw(st.sampled_from(("same", "float signal", "off lattice")))
+    if other == "float signal":
+        f = GridSignal(np.array([float(v) for v in f.values]), 1.0, f.origin)
+    elif other == "off lattice":
+        f = GridSignal(f.values, draw(st.sampled_from((0.5, 1.0))), f.origin[0] + 0.5)
+    return f, kernel, series
+
+
+@settings(max_examples=300, deadline=None)
+@given(reconstructions())
+def test_reconstruct_matches_oracle(case):
+    f, kernel, series = case
+    assert reconstruction_view(attempt(reconstruct, f, kernel, series)) == \
+        reconstruction_view(attempt(oracle.reconstruct, f, kernel, series))
+
+
+HALF_PAIR_EXACT = from_atoms({0: Fraction(1, 2), 1: Fraction(1, 2)})
+HALF_PAIR_FLOAT = from_atoms({0: 0.5, 1: 0.5}, mode=FLOAT)
+STEEP = from_atoms({0: 1e-10, 1: 1.0}, mode=FLOAT)  # its right series grows like 1e10^k
+
+
+@pytest.mark.parametrize("f, kernel, series, error", [
+    # a float blur past float64
+    (GridSignal([1e308, 1e308]), HALF_PAIR_FLOAT, series_inverse(HALF_PAIR_FLOAT, Side.RIGHT, 4),
+     NonFiniteResult),
+    # a float unblur past float64, from a finite blur
+    (GridSignal([1e200]), STEEP, series_inverse(STEEP, Side.RIGHT, 12), NonFiniteResult),
+    # a float signal and an exact kernel
+    (GridSignal([1.0, 2.0]), binomial_kernel(), binomial_inverse(8), ModeMismatch),
+    # a float kernel equal to the exact one its series was built for
+    (GridSignal([1.0, 2.0]), HALF_PAIR_FLOAT, series_inverse(HALF_PAIR_EXACT, Side.RIGHT, 8),
+     ModeMismatch),
+    (GridSignal([1.0, 2.0], 0.5), HALF_PAIR_FLOAT,
+     series_inverse(HALF_PAIR_FLOAT, Side.RIGHT, 8), ValueError),
+    (GridSignal.from_lattice_dict({-2: 1, 2: 1}, dimension=1), binomial_kernel(),
+     binomial_inverse(4), InsufficientTruncation),
+], ids=["blur-overflow", "unblur-overflow", "float-signal-exact-kernel",
+        "exact-series-float-kernel", "off-lattice", "margin-too-small"])
+def test_reconstruct_refuses_as_the_oracle_does(f, kernel, series, error):
+    assert attempt(reconstruct, f, kernel, series) is error
+    assert attempt(oracle.reconstruct, f, kernel, series) is error
