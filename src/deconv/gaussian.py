@@ -29,17 +29,25 @@ All convolution is periodic with mandatory zero padding (at least the
 kernel reach of 6 on each side, grown to a power of two), so the wrapped
 part of the circle never touches the retained window.
 
-Blur and deblur share one filter step on real FFTs (``rfftn``/``irfftn``):
-multiply the half spectrum by a real half-layout table.  Blur's table is
-the transfer function of the discrete blur, real because the kernel
-sampled at the wrapped offsets of a grid is even and separable: the outer
-product of one real 1D spectrum per axis.  A deblur's table comes from a
-plan that reads the grid, never the samples (checks, mask, multiplier,
-diagnostics), so a noise experiment plans once and filters both the clean
-blur and the noise.  Every multiplier is even in frequency, so the origin
-phase factors of :func:`dft_forward` and :func:`dft_inverse` cancel and are
-never formed.  Those two functions stay as the quadrature transform and its
-left inverse for callers that need the full complex spectrum.
+Blur and deblur share one filter step on real FFTs: multiply the half
+spectrum by a real half-layout table.  The step makes the passes of
+``rfftn`` and ``irfftn`` itself, in their order, so its bytes are theirs:
+an rfft of the last axis, then the complex FFTs of the leading axes in
+place on that one half spectrum, and back.  ``rfftn`` and ``irfftn``
+allocate a fresh complex grid per pass, two more 2 MB half spectra per
+step on a 512^2 grid, whose pages the process faults in again; in place,
+a 2D step holds one complex half spectrum and its real output.  The
+in-place passes use ``numpy.fft``'s ``out=``, hence numpy 2.0 or later.
+Blur's table is the transfer function of the discrete blur, real because
+the kernel sampled at the wrapped offsets of a grid is even and separable:
+the outer product of one real 1D spectrum per axis.  A deblur's table
+comes from a plan that reads the grid, never the samples (checks, mask,
+multiplier, diagnostics), so a noise experiment plans once and filters
+both the clean blur and the noise.  Every multiplier is even in
+frequency, so the origin phase factors of :func:`dft_forward` and
+:func:`dft_inverse` cancel and are never formed.  Those two functions stay
+as the quadrature transform and its left inverse for callers that need the
+full complex spectrum.
 
 The tables that depend only on a grid's ``(shape, spacing)`` (the
 half-layout transfer function, |u|^2 / 2 in the full layout with a view of
@@ -293,11 +301,25 @@ def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
 
 
 def _filtered(g: GridSignal, table: np.ndarray) -> GridSignal:
-    """``g`` with its rfftn half spectrum multiplied by ``table``, on ``g``'s grid."""
+    """``g`` with its rfftn half spectrum multiplied by ``table``, on ``g``'s grid.
+
+    The passes are those of ``rfftn`` and ``irfftn``, in their order: an
+    rfft of the last axis, a complex FFT of each leading axis, the multiply,
+    the inverse FFTs of the leading axes and an irfft of the last axis, so
+    the output bytes are theirs.  The complex passes run in place on the one
+    half spectrum (``out=``, numpy 2.0+), where ``rfftn``/``irfftn`` allocate
+    a fresh complex grid per pass: a 2D step holds one complex half spectrum
+    and the real output, not three complex grids and the output.
+    """
+    leading = range(g.dimension - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
-        spectrum = np.fft.rfftn(g.values)
+        spectrum = np.fft.rfft(g.values)
+        for axis in reversed(leading):
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
         spectrum *= table
-        values = np.fft.irfftn(spectrum, s=g.shape, axes=tuple(range(g.dimension)))
+        for axis in leading:
+            np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        values = np.fft.irfft(spectrum, n=g.shape[-1])
     return GridSignal._own(values, g.spacing, g.origin)
 
 

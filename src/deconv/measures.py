@@ -79,11 +79,15 @@ def coerce_weight(value, mode: str) -> Weight:
 
 def _pruned(store: dict, mode: str) -> dict:
     """The atoms of nonzero weight; in float mode every weight must be finite."""
-    store = {p: w for p, w in store.items() if w != 0}
-    if mode == FLOAT and not np.isfinite(np.fromiter(store.values(), float, len(store))).all():
-        p = next(p for p, w in store.items() if not math.isfinite(w))
-        raise NonFiniteResult(f"float weight {store[p]!r} at {p} is past float64's range")
-    return store
+    return _finite({p: w for p, w in store.items() if w != 0}, mode)
+
+
+def _finite(atoms: dict, mode: str) -> dict:
+    """``atoms``, refused in float mode unless every weight is finite."""
+    if mode == FLOAT and not np.isfinite(np.fromiter(atoms.values(), float, len(atoms))).all():
+        p = next(p for p, w in atoms.items() if not math.isfinite(w))
+        raise NonFiniteResult(f"float weight {atoms[p]!r} at {p} is past float64's range")
+    return atoms
 
 
 # --- the convolution core ------------------------------------------------
@@ -255,11 +259,12 @@ class _Dense:
         return _Dense(lo, nums, den)
 
     def measure(self, like: "AtomicMeasure", scale=1) -> "AtomicMeasure":
-        """``scale`` times this exact value, as a measure of ``like``'s dimension."""
+        """``scale`` (nonzero) times this exact value, as a measure of ``like``'s dimension."""
         num, den = scale.as_integer_ratio()
         den *= self.den
         points, nums = _nonzero(self.nums, self.lo)
-        return like._with_atoms({p: Fraction(n * num, den) for p, n in zip(points, nums.tolist())})
+        return like._with_atoms({p: Fraction(n * num, den) for p, n in zip(points, nums.tolist())},
+                                nonzero=True)
 
     def signal(self, like: GridSignal) -> GridSignal:
         """This value as a signal on the grid from ``lo`` with ``like``'s spacing and mode."""
@@ -446,14 +451,17 @@ class AtomicMeasure:
             raise ModeMismatch(
                 f"cannot combine {self._mode} and {other._mode} mode measures")
 
-    def _with_atoms(self, store: dict) -> "AtomicMeasure":
+    def _with_atoms(self, store: dict, nonzero: bool = False) -> "AtomicMeasure":
         """A measure of this dimension and mode on atoms already in its form.
 
         The results of the algebra below have valid points and weights by
         construction, so they skip the public constructor's per-atom checks;
         only the zero weights are pruned, and float ones checked finite, here.
+        With ``nonzero`` the weights are known to be nonzero, as the cells
+        that ``np.flatnonzero`` or ``grids._nonzero`` picks, and are not
+        tested again.
         """
-        return _checked(self._dimension, self._mode, store)
+        return _checked(self._dimension, self._mode, store, nonzero)
 
     def __add__(self, other):
         if not isinstance(other, AtomicMeasure):
@@ -514,7 +522,7 @@ class AtomicMeasure:
         if self._mode == EXACT:
             den = da * db
             weights = [Fraction(n, den) for n in weights]
-        return self._with_atoms(dict(zip(points, weights)))
+        return self._with_atoms(dict(zip(points, weights)), nonzero=True)
 
     def power(self, n: int) -> "AtomicMeasure":
         """n-fold convolution power; n = 0 gives the unit delta_0."""
@@ -548,12 +556,13 @@ class AtomicMeasure:
         return cls(dimension, {(0,) * dimension: 1}, mode)
 
 
-def _checked(dimension: int, mode: str, store: dict) -> AtomicMeasure:
-    """The measure on ``store``, whose points and weights are in their form."""
+def _checked(dimension: int, mode: str, store: dict, nonzero: bool = False) -> AtomicMeasure:
+    """The measure on ``store``, whose points and weights are in their form,
+    and with ``nonzero`` known to be nonzero."""
     out = AtomicMeasure.__new__(AtomicMeasure)
     out._dimension = dimension
     out._mode = mode
-    out._atoms = _pruned(store, mode)
+    out._atoms = _finite(store, mode) if nonzero else _pruned(store, mode)
     return out
 
 

@@ -5,6 +5,10 @@ pipeline: a full complex ``ifftn``/``fftn`` round trip with origin phase
 factors, and a transfer function taken as the DFT of the kernel density
 sampled on the whole grid.  ``test_fourier_oracle`` checks the library
 against them.
+
+:func:`filtered` is the filter step as it was before its FFT passes ran in
+place: ``rfftn``, an in-place multiply and ``irfftn``, each pass on a fresh
+array.  The library's step must give its bytes.
 """
 from __future__ import annotations
 
@@ -26,6 +30,15 @@ def _freq_norm_sq(shape, spacing) -> np.ndarray:
         part = (u ** 2).reshape(view)
         total = part if total is None else total + part
     return total
+
+
+def filtered(g: GridSignal, table: np.ndarray) -> GridSignal:
+    """``g`` with its rfftn half spectrum multiplied by ``table``, on ``g``'s grid."""
+    with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
+        spectrum = np.fft.rfftn(g.values)
+        spectrum *= table
+        values = np.fft.irfftn(spectrum, s=g.shape, axes=tuple(range(g.dimension)))
+    return GridSignal._own(values, g.spacing, g.origin)
 
 
 def dft_forward(f: GridSignal) -> np.ndarray:

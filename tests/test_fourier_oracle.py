@@ -11,6 +11,7 @@ import fourier_oracle as oracle
 from deconv import (
     GaussianKernelSpec,
     GridSignal,
+    NonFiniteResult,
     blur,
     gaussian,
     kernel_spectrum,
@@ -163,6 +164,41 @@ def test_kernel_spectrum_matches_oracle(shape):
     old = oracle.kernel_spectrum(spec, like)
     assert new.dtype == complex and new.shape == shape
     assert float(np.max(np.abs(new - old))) <= 1e-14
+
+
+# --- the filter step -------------------------------------------------------------
+
+
+@st.composite
+def filter_steps(draw):
+    """A 1D or 2D signal with 2 to 40 samples per axis and a half-layout table
+    whose entries are zero, or of either sign with gains from 1 to 1e8."""
+    shape = tuple(draw(st.lists(st.integers(2, 40), min_size=1, max_size=2)))
+    spacing = tuple(draw(st.sampled_from(SPACINGS)) for _ in shape)
+    origin = tuple(draw(st.sampled_from((-3.3, 0.0, 1.7))) for _ in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    table = rng.choice((-1.0, 1.0), half) * 10.0 ** rng.uniform(0.0, 8.0, half)
+    table[rng.random(half) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    return GridSignal(rng.standard_normal(shape), spacing, origin), table
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_steps())
+def test_filter_step_gives_the_bytes_of_rfftn_and_irfftn(step):
+    new, old = gaussian._filtered(*step), oracle.filtered(*step)
+    assert (new.spacing, new.origin) == (old.spacing, old.origin)
+    assert new.values.shape == old.values.shape
+    assert new.values.tobytes() == old.values.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7,), (8,), (5, 6), (6, 5)])
+def test_filter_step_refuses_a_table_that_overflows_as_the_oracle_does(shape):
+    g = GridSignal(np.full(shape, 1e300), 0.5, 0.0)
+    table = np.full(shape[:-1] + (shape[-1] // 2 + 1,), 1e10)
+    for step in (gaussian._filtered, oracle.filtered):
+        with pytest.raises(NonFiniteResult):
+            step(g, table)
 
 
 # --- the grid tables cached by (shape, spacing) ---------------------------------

@@ -233,3 +233,18 @@ def test_zero_atoms_never_stored(m):
     assert all(w != 0 for w in m.atoms.values())
     cancelled = m - m
     assert cancelled.is_zero and len(cancelled) == 0
+
+
+@pytest.mark.parametrize("atoms", [{-1: Fraction(3, 7), 0: Fraction(1, 3), 2: Fraction(-5, 11)},
+                                   {(0, 1): Fraction(3, 7), (1, 0): HALF, (2, 2): -HALF}])
+def test_exact_products_do_not_test_their_weights_against_zero_again(monkeypatch, atoms):
+    """Powers on arrays and exact convolutions read their atoms from nonzero
+    cells, so they build the measure without another ``w != 0``."""
+    m = from_atoms(atoms)
+    calls = []
+    eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(b) or eq(a, b))
+    power, product = m.power(6), m.convolve(m)
+    monkeypatch.undo()
+    assert calls == []
+    assert power == product.convolve(product).convolve(product)
