@@ -11,8 +11,8 @@ and reused; each call picks its ``_cmd_*`` by the command's name.
 The front end only parses and dispatches: each ``_cmd_*`` reads its
 inputs, calls the library, computes every number it reports, and writes
 its output files last, through ``io``.  The series of ``invert`` come from
-``onesided.inverse``, and ``deblur`` applies its series through
-``onesided.apply_on_window``.  Exit codes: 0 success (for
+``onesided.inverse``; ``deblur`` takes its series from the same call and
+applies them through ``onesided.apply_on_window``.  Exit codes: 0 success (for
 verify: inverse confirmed), 1 verify found a residual above tolerance,
 2 usage trouble (such as a run that would write a file it reads, refused
 before any command runs) or an unreadable file, and otherwise the
@@ -55,7 +55,7 @@ from .onesided import (
     binomial_inverse,
     binomial_kernel,
     growth_table,
-    half_pair_inverse,
+    half_pair_kernel,
     inverse,
     perturbation_response,
 )
@@ -174,7 +174,8 @@ def _cmd_invert(args) -> int:
         settings.update(N=args.N)
         if args.method == "onesided":
             settings.update(side=args.side)
-        series, result = inverse(kernel, args.method, args.N, Side(args.side))
+        series = inverse(kernel, args.method, args.N, Side(args.side))
+        result = series.measure
         summary = (f"method={args.method} halfwidth={series.halfwidth}"
                    f" boundary_distance={series.boundary_distance()}")
     dio.write_measure(args.output, result, _echo(settings))
@@ -214,9 +215,9 @@ def _cmd_deblur(args) -> int:
             return _usage(f"--window is required for method {method}")
         g = dio.read_signal_csv(args.input, args.mode)
         lo, hi = args.window
-        series = binomial_inverse(args.N, mode=args.mode) if method == "binomial" \
-            else half_pair_inverse(args.N, mode=args.mode)
-        out = apply_on_window(g, series, args.window)
+        kernel = binomial_kernel(mode=args.mode) if method == "binomial" \
+            else half_pair_kernel(mode=args.mode)
+        out = apply_on_window(g, inverse(kernel, method, args.N), args.window)
         settings.update(N=args.N, window=f"{lo}:{hi}", mode=args.mode)
         params = f"N={args.N};window={lo}:{hi}"
         summary = f"method={method} halfwidth={args.N} window={lo}:{hi}"

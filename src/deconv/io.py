@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from fractions import Fraction
 from typing import NoReturn
 
@@ -336,23 +337,11 @@ def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
 
 
 def _pgm_tokens(data: bytes):
-    """Yield (offset_after, token) over the ASCII header, honoring comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i:i + 1]
-        if c in b" \t\r\n":
-            i += 1
-            continue
-        if c == b"#":
-            while i < n and data[i:i + 1] not in b"\r\n":
-                i += 1
-            continue
-        j = i
-        while j < n and data[j:j + 1] not in b" \t\r\n":
-            j += 1
-        yield j, data[i:j].decode("ascii")
-        i = j
+    """Yield (offset_after, token) over the ASCII header, honoring comments: a
+    ``#`` that starts a token comments out the rest of its line."""
+    for m in re.finditer(rb"#[^\r\n]*|[^ \t\r\n]+", data):
+        if not m[0].startswith(b"#"):
+            yield m.end(), m[0].decode("ascii")
 
 
 def read_pgm(path) -> GridSignal:

@@ -9,23 +9,24 @@ mean is another inverse, ``symmetric_inverse``; for the binomial kernel
 ``1/4 delta_{-1} + 1/2 delta_0 + 1/4 delta_1`` it has weight
 ``2|n| (-1)^(|n|+1)`` at n, and that linear growth is the whole story of
 the noise sensitivity quantified by ``perturbation_response``.
-``inverse`` is the one dispatch over these series: it divides a kernel by
-its lowest atom, checks it against the named unit kernels where the method
-names one, and divides the series by that atom again.  ``apply_on_window``
-applies a series on a lattice window under the margin rule.
+``inverse`` is the one dispatch over these series, for ``invert`` and
+``deblur``: it divides a kernel by its lowest atom, checks it against the
+named unit kernels where the method names one, and returns that series
+over the atom as the kernel's own.  ``apply_on_window`` applies a series
+on a lattice window under the margin rule.
 
 Everything here defaults to exact rational arithmetic so that "equals"
-means equals; the series of a float kernel is its exact series, rounded
-once.  A ``TruncatedSeries`` records, next to the measure itself, the
-kernel it targets and the boundary atoms where ``kernel * series -
-delta_0`` is nonzero; the boundary is computed by carrying out the
-convolution.
+means equals.  Each series is computed once, exactly: a float series is
+its exact series rounded once, and its boundary, the atoms where
+``kernel * series - delta_0`` is nonzero, is that of the exact series.
+A ``TruncatedSeries`` records the measure, the kernel it targets and
+that boundary, computed by carrying out the convolution.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,7 @@ from .measures import (
     AtomicMeasure,
     WindowSpec,
     _check_applicable,
+    _checked,
     _Dense,
     _residual,
     apply_to_signal,
@@ -97,8 +99,9 @@ class TruncatedSeries:
     window : WindowSpec
         Nominal support window of the truncation.
     boundary : tuple of points
-        Where ``kernel * measure - delta_0`` is nonzero.  Computed by
-        direct convolution at construction time.
+        Where ``kernel * measure - delta_0`` is nonzero, by direct
+        convolution at construction time; a float series takes the
+        boundary of the exact series it rounds.
     """
 
     measure: AtomicMeasure
@@ -120,9 +123,16 @@ class TruncatedSeries:
         return _residual(self.kernel, self.measure)
 
 
-def _finish(measure: AtomicMeasure, kernel: AtomicMeasure, window: WindowSpec) -> TruncatedSeries:
-    boundary = tuple(sorted(_residual(kernel, measure).atoms))
-    return TruncatedSeries(measure, kernel, window, boundary)
+def _finish(atoms: dict, kernel: AtomicMeasure, window: WindowSpec) -> TruncatedSeries:
+    """The series of ``kernel`` on its exact ``atoms``, bounded by their residual
+    against the kernel's exact weights; a float series rounds each atom once."""
+    exact = _checked(1, EXACT, {p: Fraction(w) for p, w in kernel.atoms.items()}, nonzero=True)
+    series = _checked(1, EXACT, atoms)
+    boundary = tuple(sorted(_residual(exact, series).atoms))
+    if kernel.mode != EXACT:
+        series = kernel._with_atoms({p: _float_quotient(q.numerator, q.denominator)
+                                     for p, q in series.atoms.items()})
+    return TruncatedSeries(series, kernel, window, boundary)
 
 
 def _ends(kernel: AtomicMeasure) -> tuple[int, int]:
@@ -144,7 +154,7 @@ def _float_quotient(num: int, den: int) -> float:
 
 def _end_series(kernel: AtomicMeasure, side: Side, terms: int, parts: int = 1,
                 skip: int = 0) -> dict:
-    """Atoms ``skip`` .. ``terms - 1`` of the ``side`` inverse of a 1D kernel, over ``parts``.
+    """Exact atoms ``skip`` .. ``terms - 1`` of the ``side`` inverse of a 1D kernel, over ``parts``.
 
     Power-series division by the end atom on that side, on Python ints: with
     the weight at distance i from that end ``A_i / D`` (FLINT's ``fmpq_poly``
@@ -157,7 +167,6 @@ def _end_series(kernel: AtomicMeasure, side: Side, terms: int, parts: int = 1,
     nums = {i: n * (den // d) for i, (n, d) in ratios.items()}
     a0 = nums.pop(0)
     taps = [(i, a * a0 ** (i - 1)) for i, a in nums.items() if i < terms]
-    quotient = Fraction if kernel.mode == EXACT else _float_quotient
     atoms, coeffs, power = {}, [], parts * a0
     for k in range(terms):
         e = 1 if k == 0 else 0
@@ -166,7 +175,7 @@ def _end_series(kernel: AtomicMeasure, side: Side, terms: int, parts: int = 1,
                 e -= t * coeffs[k - i]
         coeffs.append(e)
         if k >= skip:
-            atoms[(step * k - end,)] = quotient(e * den, power)
+            atoms[(step * k - end,)] = Fraction(e * den, power)
         power *= a0
     return atoms
 
@@ -176,7 +185,7 @@ def series_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> TruncatedSe
     if terms < 1:
         raise ParameterOutOfRange("a truncated series needs at least one term")
     atoms = _end_series(kernel, side, terms)
-    return _finish(kernel._with_atoms(atoms), kernel, WindowSpec((min(atoms)[0], max(atoms)[0])))
+    return _finish(atoms, kernel, WindowSpec((min(atoms)[0], max(atoms)[0])))
 
 
 def symmetric_inverse(kernel: AtomicMeasure, halfwidth: int) -> TruncatedSeries:
@@ -184,14 +193,12 @@ def symmetric_inverse(kernel: AtomicMeasure, halfwidth: int) -> TruncatedSeries:
     if halfwidth < 1:
         raise ParameterOutOfRange("halfwidth must be >= 1")
     lo, hi = _ends(kernel)
-    # each series is kept from where it enters [-halfwidth, halfwidth]; a one-atom
-    # kernel's two series are the same atom, which is then their mean
-    if lo == hi:
-        atoms = _end_series(kernel, Side.RIGHT, halfwidth + lo + 1, 1, lo - halfwidth)
-    else:
-        atoms = _end_series(kernel, Side.RIGHT, halfwidth + lo + 1, 2, lo - halfwidth)
-        atoms.update(_end_series(kernel, Side.LEFT, halfwidth - hi + 1, 2, -halfwidth - hi))
-    return _finish(kernel._with_atoms(atoms), kernel, WindowSpec((-halfwidth, halfwidth)))
+    # each series is kept from where it enters [-halfwidth, halfwidth]; they meet
+    # only at a one-atom kernel's atom, where their halves add up to it
+    atoms = _end_series(kernel, Side.RIGHT, halfwidth + lo + 1, 2, lo - halfwidth)
+    for p, q in _end_series(kernel, Side.LEFT, halfwidth - hi + 1, 2, -halfwidth - hi).items():
+        atoms[p] = atoms[p] + q if p in atoms else q
+    return _finish(atoms, kernel, WindowSpec((-halfwidth, halfwidth)))
 
 
 def unit_pair_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> TruncatedSeries:
@@ -207,8 +214,9 @@ _NAMED_KERNELS = {"binomial": from_atoms({-1: 1, 0: 2, 1: 1}), "halfpair": pair_
 
 
 def inverse(kernel: AtomicMeasure, method: str, terms: int,
-            side: Side = Side.RIGHT) -> tuple[TruncatedSeries, AtomicMeasure]:
-    """The series of ``kernel`` over its lowest atom (the lead), and that series over the lead.
+            side: Side = Side.RIGHT) -> TruncatedSeries:
+    """The series of ``kernel`` over its lowest atom (the lead), over the lead, as
+    the series of ``kernel``; its window and boundary are the same.
 
     ``"onesided"`` takes ``terms`` atoms of the ``side`` series of any 1D unit
     kernel; ``"binomial"`` and ``"halfpair"`` take the symmetric inverse on
@@ -226,21 +234,23 @@ def inverse(kernel: AtomicMeasure, method: str, terms: int,
     else:
         raise UnsupportedKernel(
             f"method {method} cannot invert atoms {sorted(kernel.atoms.items())}")
-    return series, series.measure.scale(1 / lead)
+    return replace(series, measure=series.measure.scale(1 / lead), kernel=kernel)
 
 
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Product of two truncated series, targeting the product kernel.
 
     The interior coefficients (those unaffected by either truncation
-    edge) agree with the Cauchy product of the untruncated series.
+    edge) agree with the Cauchy product of the untruncated series.  A
+    float product has no exact series: its boundary is its own residual's.
     """
     measure = a.measure.convolve(b.measure)
     kernel = a.kernel.convolve(b.kernel)
     bounds = tuple(
         (ba[0] + bb[0], ba[1] + bb[1])
         for ba, bb in zip(a.window.bounds, b.window.bounds))
-    return _finish(measure, kernel, WindowSpec(bounds))
+    boundary = tuple(sorted(_residual(kernel, measure).atoms))
+    return TruncatedSeries(measure, kernel, WindowSpec(bounds), boundary)
 
 
 def binomial_inverse(halfwidth: int, *, mode: str = EXACT) -> TruncatedSeries:

@@ -2,9 +2,9 @@
 
 These are ``blur`` and ``naive_deblur`` as computed before the real-FFT
 pipeline: a full complex ``ifftn``/``fftn`` round trip with origin phase
-factors, and a transfer function taken as the DFT of the kernel density
-sampled on the whole grid.  ``test_fourier_oracle`` checks the library
-against them.
+factors, and a transfer function taken as the complex DFT of the kernel
+density sampled along each axis of the grid, multiplied out.
+``test_fourier_oracle`` checks the library against them.
 
 :func:`filtered` is the filter step as it was before its FFT passes ran in
 place: ``rfftn``, an in-place multiply and ``irfftn``, each pass on a fresh
@@ -63,15 +63,14 @@ def dft_inverse(vals: np.ndarray, like: GridSignal) -> GridSignal:
 
 
 def kernel_spectrum(spec: GaussianKernelSpec, like: GridSignal) -> np.ndarray:
-    offsets = [
-        like.spacing[ax] * np.fft.fftfreq(like.shape[ax]) * like.shape[ax]
-        for ax in range(like.dimension)
-    ]
-    if like.dimension == 1:
-        vals = spec.density(offsets[0])
-    else:
-        vals = spec.density(offsets[0][:, None], offsets[1][None, :])
-    return np.fft.ifftn(vals) * vals.size * float(np.prod(like.spacing))
+    """DFT of the kernel sampled at the wrapped offsets of ``like``'s grid.  The
+    kernel is separable, so in 2D this is the outer product of the axes' 1D
+    DFTs, which keeps bins far below the rounding of one 2D FFT."""
+    transfer = np.ones(())
+    for n, s in zip(like.shape, like.spacing):
+        axis = np.fft.ifft(GaussianKernelSpec(1).density(s * np.fft.fftfreq(n) * n)) * n * s
+        transfer = np.multiply.outer(transfer, axis)
+    return transfer
 
 
 def periodic_blur(f: GridSignal) -> GridSignal:

@@ -215,7 +215,7 @@ def test_invert_onesided_takes_any_1d_kernel(tmp_path, mode, side, reach):
 
 def test_invert_float_pair_scaled_by_49_is_the_unit_series_over_49(tmp_path, capsys):
     # the kernel is divided by its lead atom: multiplied by fl(1/49) it would not
-    # be the unit pair, and its series' float boundary would move
+    # be the unit pair, and its series would not be the unit series over 49
     assert 49 * (1 / 49) != 1
     kernel = tmp_path / "k.txt"
     kernel.write_text("0 49\n1 49\n")

@@ -1,12 +1,11 @@
 """Every `deconv` command replays its recorded runs byte for byte.
 
 ``cli_golden.json`` holds exit code, stdout and output files of every run
-in ``cli_golden.cases()``, recorded before ``GridSignal.l2_norm`` took norms
-whose squares overflow.  Every run must still match, except the ones in
-``MOVED``, whose new exit code is checked instead, together with whether
-they write files: a reference of 1e200 now scores (exit 0) where it was
-refused (exit 4).  Records rebuilt on the present code take the moved runs
-in; ``MOVED`` is then empty.
+in ``cli_golden.cases()``, recorded on the present code.  Every run must
+still match, except the ones in ``MOVED``, whose new exit code is checked
+instead, together with whether they write files.  A change that moves a
+run on purpose lists it there; records rebuilt on that change take the
+moved runs in, and ``MOVED`` is then empty again.
 
 The ``refusal/`` runs are the malformed files of
 ``test_malformed_inputs.CORPUS``; their records also hold stderr, so each
@@ -25,7 +24,7 @@ import cli_golden as golden
 
 RECORD = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
 RUNS = RECORD["runs"]
-MOVED = {"deblur/binomial-huge-reference/float": 0}
+MOVED: dict[str, int] = {}
 COMMANDS = sorted({name.split("/", 1)[0] for name in RUNS})
 
 

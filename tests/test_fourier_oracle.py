@@ -131,17 +131,18 @@ def test_odd_and_even_shapes_count_mirror_bins(shape):
 
 
 # On a spacing-0.5 grid every bin of the transfer function stays above 1e-300,
-# so a floor of None or 0 divides by every bin in the band.  In 2D the corner
-# bins fall to 1e-17, below the rounding of the oracle's 2D FFT, so there the
-# band stops at 4, where the transfer is above 3e-4.
-@pytest.mark.parametrize("shape, band_limit", [((32,), None), ((33,), None),
-                                               ((24, 27), 4.0)])
-def test_reciprocal_without_a_floor_divides_every_bin_as_the_oracle_does(shape, band_limit):
+# so a floor of None or 0 divides by every bin.  In 2D the corner bins fall to
+# 1e-17; the oracle takes them, as deconv does, from an outer product of 1D
+# spectra, and on 24x27 the noise gains agree to 1.5e-11 relative (37.688312
+# on both sides), while the values differ by at most 0.012 on a 0.97 peak at
+# a gain of 3.3e16, inside eps times the gain.
+@pytest.mark.parametrize("shape", [(32,), (33,), (24, 27)])
+def test_reciprocal_without_a_floor_divides_every_bin_as_the_oracle_does(shape):
     f = _smooth(shape, (0.5,) * len(shape))
     g = oracle.periodic_blur(f)
-    zero = _deblur_matches(g, "discrete-reciprocal", band_limit, _peak(f), amplified=True,
+    zero = _deblur_matches(g, "discrete-reciprocal", None, _peak(f), amplified=True,
                            reciprocal_floor=0.0)
-    none = naive_deblur(g, "discrete-reciprocal", band_limit=band_limit, reciprocal_floor=None)
+    none = naive_deblur(g, "discrete-reciprocal", reciprocal_floor=None)
     assert _bytes(none) == _bytes(zero)
     assert none[1].reciprocal_floor is None
 

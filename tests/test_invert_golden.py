@@ -1,12 +1,11 @@
 """`deconv invert` replays its recorded runs byte for byte.
 
 ``invert_golden.json`` holds exit code, stdout and output file of every
-run in ``invert_golden.cases()``, recorded before the named series became
-one power-series recurrence.  Every run must still match, except the ones
-in ``MOVED``, whose new exit code is checked instead: ``--method onesided``
-now inverts any nonzero 1D kernel, and refuses a 2D one as a dimension
-mismatch (exit 3).  Records rebuilt on the present code take the moved
-runs in; ``MOVED`` is then empty.
+run in ``invert_golden.cases()``, recorded on the present code.  Every run
+must still match, except the ones in ``MOVED``, whose new exit code is
+checked instead, together with whether they write a file.  A change that
+moves a run on purpose lists it there; records rebuilt on that change take
+the moved runs in, and ``MOVED`` is then empty again.
 """
 import json
 
@@ -15,18 +14,12 @@ import pytest
 import invert_golden as golden
 
 RECORDS = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
-ONESIDED = [f"{side}/{mode}" for side in ("onesided-right", "onesided-left")
-            for mode in golden.MODES]
-MOVED = {
-    **{f"{kernel}/{run}": 0 for kernel in ("binomial", "binomial-0.3", "three-point",
-                                           "no-family") for run in ONESIDED},
-    **{f"pair-2d/{run}": 3 for run in ONESIDED},
-}
+MOVED: dict[str, int] = {}
 
 
 def test_records_cover_every_case():
     assert sorted(RECORDS) == sorted(name for name, _, _ in golden.cases())
-    assert all(RECORDS[name]["exit"] == 4 for name in MOVED)
+    assert all(RECORDS[name]["exit"] != MOVED[name] for name in MOVED)
 
 
 @pytest.mark.parametrize("kernel", sorted(golden.KERNELS))

@@ -129,6 +129,11 @@ def test_signal_csv_fills_lattice_holes(tmp_path):
     back = dio.read_signal_csv(path)
     assert back.shape == (4,)
     assert back.lattice_dict() == {(-1,): Fraction(4), (2,): Fraction(1, 2)}
+    # past int64 the box is placed on object coordinates
+    path.write_text(f"index,value\n{2 ** 63},4\n{2 ** 63 + 3},1/2\n")
+    back = dio.read_signal_csv(path)
+    assert back.shape == (4,)
+    assert back.lattice_dict() == {(2 ** 63,): Fraction(4), (2 ** 63 + 3,): Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("binary", [True, False])
@@ -207,6 +212,10 @@ def test_pgm_errors(tmp_path):
         "spacing 0.1 0.1\norigin 0 0\nvmin 0\nvmax 1\nspacing 0.2 0.2\n")
     with pytest.raises(FormatError, match=r"img\.pgm\.meta:5: repeated key 'spacing'"):
         dio.read_pgm(path)
+    with pytest.raises(FormatError, match="maxval must be 255 or 65535"):
+        dio.write_pgm(tmp_path / "out.pgm", GridSignal(np.zeros((2, 2)), (1.0, 1.0), (0.0, 0.0)),
+                      maxval=1000)
+    assert not (tmp_path / "out.pgm").exists()
 
 
 def test_raw_grid_roundtrip(tmp_path):

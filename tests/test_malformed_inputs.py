@@ -40,6 +40,7 @@ CORPUS = {
                                    "--mode", "float"],
                                   {"in.txt": "0 1e308\n1 1e308\n", "one.txt": "0 1\n"}, 4),
     # CSV on the lattice
+    "index-empty": (INDEX_CSV, {"in.csv": ""}, 2),
     "index-header": (INDEX_CSV, {"in.csv": "i,v\n0,1\n"}, 2),
     "index-no-rows": (INDEX_CSV, {"in.csv": "index,value\n"}, 2),
     "index-three-fields": (INDEX_CSV, {"in.csv": "index,value\n0,1,2\n"}, 2),
@@ -75,12 +76,18 @@ CORPUS = {
                                                "ref.f64.desc": DESC_1D}, 2),
     "convolve-output-is-input": (["convolve", "in.txt", "one.txt", "-o", "in.txt"],
                                  {"in.txt": "0 1\n", "one.txt": "0 1\n"}, 2),
+    # an output format that cannot hold the result
+    "deblur-1d-to-pgm": (INDEX_CSV[:3] + ["out.pgm"] + INDEX_CSV[4:], {"in.csv": ONE_ROW}, 2),
+    "deblur-exact-to-raw": (INDEX_CSV[:3] + ["out.f64"] + INDEX_CSV[4:],
+                            {"in.csv": ONE_ROW}, 2),
     # CSV on a general grid
     "x-not-uniform": (X_CSV, {"in.csv": "x,value\n0.0,1\n0.1,1\n0.3,1\n"}, 2),
     "x-bad-abscissa": (X_CSV, {"in.csv": "x,value\nzero,1\n"}, 2),
     "x-nan-value": (X_CSV, {"in.csv": "x,value\n0.0,nan\n0.1,1\n"}, 2),
     # PGM, ASCII P2 and binary P5, with and without a sidecar
+    "pgm-empty": (PGM, {"in.pgm": b""}, 2),
     "pgm-magic": (PGM, {"in.pgm": b"P3\n2 2\n255\n"}, 2),
+    "pgm-width-zero": (PGM, {"in.pgm": b"P2\n0 2\n255\n"}, 2),
     "pgm-header": (PGM, {"in.pgm": b"P2\n2\n"}, 2),
     "pgm-p2-sample": (PGM, {"in.pgm": b"P2\n2 2\n255\n1 2 x 4\n"}, 2),
     "pgm-p2-count": (PGM, {"in.pgm": b"P2\n2 2\n255\n1 2 3\n"}, 2),

@@ -80,6 +80,8 @@ def test_power_and_unit():
     assert m.power(0) == AtomicMeasure.unit(1)
     assert m.power(3) == dirac(3, Fraction(1, 8))
     assert m.convolve(AtomicMeasure.unit(1)) == m
+    with pytest.raises(ValueError, match="n >= 0"):
+        m.power(-1)
 
 
 def test_restrict_outside_partition():

@@ -37,6 +37,8 @@ def test_config_validation():
         NeumannConfig(order=300)  # above the default cap
     with pytest.raises(ValueError):
         NeumannConfig(residual_target=0)
+    with pytest.raises(ValueError, match="max_order"):
+        NeumannConfig(residual_target=Fraction(1, 2), max_order=-1)
 
 
 def test_single_atom_example():

@@ -1,6 +1,7 @@
 """Truncated one-sided and two-sided series inverses on the line."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,8 @@ from deconv import (
     unit_pair_inverse,
 )
 from deconv.onesided import apply_on_window, inverse
+
+EPS = float(np.finfo(float).eps)
 
 
 def _atoms(series):
@@ -112,10 +115,11 @@ def test_inverse_takes_named_kernels_only(mode, atoms, named):
                 inverse(kernel, method, 4)
     if named is not None:
         lead = kernel.atoms[min(kernel.atoms)]
-        series, measure = inverse(kernel, named, 4)
-        assert series.kernel == from_atoms(UNIT_KERNELS[named])
-        assert series.halfwidth == 4
-        assert measure == series.measure.scale(1 / lead)
+        unit = symmetric_inverse(from_atoms(UNIT_KERNELS[named], mode=mode), 4)
+        series = inverse(kernel, named, 4)
+        assert series.kernel is kernel
+        assert (series.halfwidth, series.boundary) == (4, unit.boundary)
+        assert series.measure == unit.measure.scale(1 / lead)
     if kernel.dimension == 2:
         with pytest.raises(DimensionMismatch):
             inverse(kernel, "onesided", 4)
@@ -214,6 +218,21 @@ def test_reconstruct_margin_failure():
     # one more than twice the radius is enough
     rec, _ = reconstruct(f, binomial_kernel(), binomial_inverse(13))
     assert rec.lattice_equal(f)
+
+
+def test_a_float_series_keeps_the_margin_of_its_exact_series():
+    # 0.3 and 0.7 are not binary fractions: the rounding of a float product of
+    # kernel and series is no truncation junk, and the margin stays at 10
+    kernel = from_atoms({0: 0.3, 1: 0.7}, mode=FLOAT)
+    series = symmetric_inverse(kernel, 10)
+    f = GridSignal.from_lattice_dict({(-1,): 1.0, (0,): 2.0, (1,): 1.0}, dimension=1,
+                                     mode=FLOAT)
+    rec, report = reconstruct(f, kernel, series)
+    assert report.boundary_distance == series.boundary_distance() == 10
+    # a float blur (kernel l1 1) and unblur of f (peak 2) err by a few eps times the
+    # series' l1
+    bound = 4 * EPS * series.measure.total_variation()
+    assert float(np.max(np.abs(rec.values - f.values))) <= bound
 
 
 def test_reconstruct_rejects_mismatched_kernel():

@@ -86,6 +86,21 @@ def test_symmetric_inverse_is_delta_where_both_series_are_whole(kernel, h):
         assert product.restrict(window) == AtomicMeasure.unit(1).restrict(window)
 
 
+# weights whose denominators are not powers of two, so a float kernel's
+# products round and a float residual would hold junk in the interior
+NON_DYADIC = WEIGHTS.filter(lambda w: w.denominator & (w.denominator - 1)).map(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-4, 4), NON_DYADIC, min_size=1, max_size=4), SIDES,
+       st.integers(1, 24))
+def test_a_float_series_is_bounded_by_the_exact_series_it_rounds(atoms, side, n):
+    kernel = from_atoms(atoms, mode=FLOAT)
+    exact = from_atoms({p: Fraction(w) for p, w in kernel.atoms.items()})
+    assert series_inverse(kernel, side, n).boundary == series_inverse(exact, side, n).boundary
+    assert symmetric_inverse(kernel, n).boundary == symmetric_inverse(exact, n).boundary
+
+
 @settings(max_examples=100, deadline=None)
 @given(kernels(mode=FLOAT), SIDES, st.integers(1, 24))
 def test_float_series_is_the_exact_series_rounded_once(kernel, side, n):
