@@ -1,6 +1,8 @@
 """The real-FFT Gaussian pipeline against the complex-route oracle."""
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +11,15 @@ from hypothesis import strategies as st
 
 import fourier_oracle as oracle
 from deconv import (
+    EXACT,
+    DeconvError,
     GaussianKernelSpec,
     GridSignal,
+    GridTooCoarse,
+    ModeMismatch,
     NonFiniteResult,
+    ParameterOutOfRange,
+    ReciprocalUnderflow,
     blur,
     gaussian,
     kernel_spectrum,
@@ -19,7 +27,7 @@ from deconv import (
     noise_blowup_experiment,
     padded_for_blur,
 )
-from deconv.gaussian import KERNEL_REACH
+from deconv.gaussian import DEBLUR_METHODS, KERNEL_REACH, TABLE_CACHE_GRIDS
 
 SPACINGS = (0.1, 0.25, 0.4, 0.5)
 EPS = float(np.finfo(float).eps)
@@ -202,6 +210,47 @@ def test_filter_step_refuses_a_table_that_overflows_as_the_oracle_does(shape):
             step(g, table)
 
 
+def test_a_refused_filter_step_leaves_the_next_one_on_its_shape_right():
+    """The refused step puts its half spectrum, full of inf and NaN, back
+    among the free buffers; the next step on that shape takes it."""
+    shape = (6, 5)
+    with pytest.raises(NonFiniteResult):
+        gaussian._filtered(GridSignal(np.full(shape, 1e300), 0.5, 0.0), np.full((6, 3), 1e10))
+    assert not np.isfinite(gaussian._SPECTRA[(6, 3)]).all()
+    rng = np.random.default_rng(5)
+    f = GridSignal(rng.standard_normal(shape), 0.5, 0.0)
+    table = rng.standard_normal((6, 3))
+    assert gaussian._filtered(f, table).values.tobytes() \
+        == oracle.filtered(f, table).values.tobytes()
+
+
+# Four threads, more than the cores of most test machines, with a short switch
+# interval: a buffer that two steps shared would mix their spectra.
+def test_threads_filtering_on_one_grid_give_the_bytes_of_serial_steps():
+    rng = np.random.default_rng(9)
+    table = gaussian._tables((96, 80), (0.25, 0.25)).transfer
+    signals = [GridSignal(rng.standard_normal((96, 80)), 0.25, 0.0) for _ in range(4)]
+    want = [gaussian._filtered(f, table).values.tobytes() for f in signals]
+    steps = []
+
+    def run(f, expected):
+        for _ in range(50):
+            steps.append(gaussian._filtered(f, table).values.tobytes() == expected)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(signals, want)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(steps) == 200 and all(steps)
+
+
 # --- the grid tables cached by (shape, spacing) ---------------------------------
 
 
@@ -262,6 +311,11 @@ def test_a_blur_both_deblurs_and_a_noise_run_on_one_grid_build_one_table_set():
     _pipeline(f)
     info = gaussian._tables.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+    # a reciprocal plan and one analytic plan at band 4, which the noise run reuses
+    info = gaussian._grid_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+    naive_deblur(blur(f), "analytic-amplifier", band_limit=4, reciprocal_floor=0.5)
+    assert gaussian._grid_plan.cache_info().misses == 2
 
 
 def test_grids_of_one_shape_and_different_spacings_get_their_own_tables():
@@ -287,10 +341,92 @@ def test_cached_tables_refuse_writes_and_kernel_spectrum_returns_a_copy():
     for table in gaussian._tables(padded.shape, padded.spacing):
         with pytest.raises(ValueError):
             table[0] = 1.0
+    for method in DEBLUR_METHODS:
+        multiplier, _ = gaussian._deblur_plan(before, method, 4.0, None)
+        with pytest.raises(ValueError):
+            multiplier[0] = 1.0
     spectrum = kernel_spectrum(GaussianKernelSpec(1), padded)
     spectrum[:] = 0.0
     assert kernel_spectrum(GaussianKernelSpec(1), padded)[0] != 0.0
     assert _bytes(blur(f)) == _bytes(before)
+
+
+# --- the deblur plans cached by grid and method ---------------------------------
+
+PLAN_GRIDS = (((48,), (0.5,)), ((64,), (0.25,)), ((24, 27), (0.5, 0.5)),
+              ((32, 30), (0.4, 0.5)), ((1024,), (0.05,)))
+PLAN_KEYS = st.tuples(st.sampled_from(PLAN_GRIDS), st.sampled_from(DEBLUR_METHODS),
+                      st.sampled_from((None, 2, 3.5, 5.0, math.inf)),
+                      st.sampled_from((None, 0.0, 1e-8, 1e-3)))
+PLAN_BOUND = TABLE_CACHE_GRIDS * len(DEBLUR_METHODS)
+
+
+def _cache_key(key):
+    """The arguments :func:`gaussian._grid_plan` caches a plan under."""
+    (shape, spacing), method, band_limit, floor = key
+    return (shape, spacing, method, None if band_limit is None else float(band_limit),
+            None if method == "analytic-amplifier" or floor is None else floor)
+
+
+def _plan_or_error(plan, *args):
+    try:
+        return _bytes(plan(*args))
+    except DeconvError as exc:  # a refusal must be the same on both sides
+        return type(exc), str(exc)
+
+
+# More distinct keys than the cache holds, then a revisit of them in any
+# order: every plan, cold, warm or rebuilt after eviction, and every
+# refusal (1024 samples at 0.05 underflow without a floor) equals the
+# uncached plan's.
+@settings(max_examples=40, deadline=None)
+@given(st.lists(PLAN_KEYS, min_size=PLAN_BOUND + 1, max_size=10, unique_by=_cache_key).flatmap(
+    lambda keys: st.lists(st.sampled_from(keys), min_size=5, max_size=20).map(
+        lambda order: keys + order)))
+def test_cached_plans_equal_the_uncached_plan_byte_for_byte(keys):
+    _clear_tables()
+    for key in keys:
+        (shape, spacing), method, band_limit, floor = key
+        g = GridSignal(np.zeros(shape), spacing, 0.0)
+        want = _plan_or_error(gaussian._grid_plan.__wrapped__, *_cache_key(key))
+        assert _plan_or_error(gaussian._deblur_plan, g, method, band_limit, floor) == want
+    info = gaussian._grid_plan.cache_info()
+    assert info.currsize <= PLAN_BOUND < info.misses
+
+
+def test_a_band_of_5_and_of_5_0_share_one_plan():
+    g = GridSignal(np.zeros(64), 0.25, 0.0)
+    _clear_tables()
+    plans = [gaussian._deblur_plan(g, "analytic-amplifier", band, None) for band in (5, 5.0)]
+    assert plans[0] is plans[1]
+    assert type(plans[0][1].band_limit) is float
+    assert gaussian._grid_plan.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("g, method, band_limit, floor, error", [
+    (GridSignal(np.zeros(64), 0.25, 0.0), "analytic-amplifier", math.nan, None,
+     ParameterOutOfRange),
+    (GridSignal(np.zeros(64), 0.25, 0.0), "analytic-amplifier", 0.0, None, ParameterOutOfRange),
+    (GridSignal(np.zeros(64), 0.25, 0.0), "analytic-amplifier", -2, None, ParameterOutOfRange),
+    (GridSignal(np.zeros(64), 0.25, 0.0), "discrete-reciprocal", None, math.nan,
+     ParameterOutOfRange),
+    (GridSignal(np.zeros(64), 0.25, 0.0), "wiener", None, None, ParameterOutOfRange),
+    (GridSignal.from_lattice_dict({(0,): 1, (1,): 2}, dimension=1, mode=EXACT),
+     "analytic-amplifier", None, None, ModeMismatch),
+    (GridSignal(np.zeros(64), 0.75, 0.0), "discrete-reciprocal", None, 1e-8, GridTooCoarse),
+    (GridSignal(np.zeros(1024), 0.05, 0.0), "discrete-reciprocal", None, 0.0,
+     ReciprocalUnderflow),
+])
+def test_a_refused_plan_is_refused_again_on_an_identical_call(g, method, band_limit, floor,
+                                                              error):
+    _clear_tables()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            gaussian._deblur_plan(g, method, band_limit, floor)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert gaussian._grid_plan.cache_info().currsize == 0
 
 
 @settings(max_examples=60, deadline=None)
