@@ -16,16 +16,18 @@ Formats:
 Each format has one reader.  The measure and CSV readers read the file
 once, split it into lines on ``"\\n"`` and each line into fields, then
 convert whole columns (``int``, ``float`` or ``Fraction`` over a column,
-one finiteness check for float weights).  Line numbers are counted only
-when a column fails: the rows are then checked one by one by the same
-single-token rules, and the first row refused names its line in the
-``FormatError``, as a line-by-line reader would.
+one finiteness check for float weights); an exact column parses each
+distinct token once, and measure comments are cut in one pass over the
+text.  Line numbers are counted only when a column fails: the rows are
+then checked one by one by the same single-token rules, and the first row
+refused names its line in the ``FormatError``, as a line-by-line reader
+would.
 
 Writers emit keys in a fixed order and shortest-round-trip floats, so a
-rerun with the same inputs produces byte-identical files.  A weight
-becomes text by one rule per mode (``str`` of a ``Fraction``, ``repr`` of
-a float), which ``format_weight`` and the column writers share.  Every text
-file but the PGM raster goes through :func:`write_text`, which puts the
+rerun with the same inputs produces byte-identical files.  Each row is
+one f-string, a weight in it ``str(w)`` in both modes (a float's ``str``
+is its ``repr``), the text ``format_weight`` gives.  Every text file but
+the PGM raster goes through :func:`write_text`, which puts the
 ``# key=value`` echo of a run's configuration first; the raster keeps its
 comments after the magic number, where the format wants them.
 """
@@ -55,15 +57,15 @@ def write_text(path, header: tuple[str, ...], lines) -> None:
         fh.write(text)
 
 
-def _fields(path, split) -> list[list[str]]:
-    r"""``split`` of every line of a text file: its fields, or none to skip it.
+def _text(path) -> str:
+    r"""A text file's text, to be split into lines on ``"\n"`` alone.
 
-    Universal newlines make ``"\r\n"`` and ``"\r"`` into ``"\n"``, and the
-    text is split on ``"\n"`` alone: ``str.splitlines`` would also end a line
-    at ``"\x0b"``, ``"\x0c"`` or ``"\u2028"``, whitespace inside one.
+    Universal newlines make ``"\r\n"`` and ``"\r"`` into ``"\n"``;
+    ``str.splitlines`` would also end a line at ``"\x0b"``, ``"\x0c"`` or
+    ``"\u2028"``, whitespace inside one.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        return list(map(split, fh.read().split("\n")))
+        return fh.read()
 
 
 def _refuse_first(path, lines, check, after: int = 0) -> NoReturn:
@@ -84,13 +86,10 @@ def _refuse_first(path, lines, check, after: int = 0) -> NoReturn:
 
 # --- weights ----------------------------------------------------------------
 
-_WEIGHT_TEXT = {EXACT: str, FLOAT: float.__repr__}  # a weight of each mode as text
-
 
 def format_weight(w) -> str:
-    if isinstance(w, Fraction):
-        return _WEIGHT_TEXT[EXACT](w)
-    return _WEIGHT_TEXT[FLOAT](float(w))
+    """A weight as text: ``str`` of a ``Fraction``, ``repr`` of a float."""
+    return str(w) if isinstance(w, Fraction) else repr(float(w))
 
 
 def _float_weight(token: str) -> float:
@@ -114,9 +113,10 @@ def parse_weight(token: str, mode: str):
 
 def _weights(tokens, mode: str) -> list:
     """``parse_weight`` of every token, by one map and one finiteness check;
-    ``ValueError`` (or the error of the bad token) where one is refused."""
+    ``ValueError`` (or the error of the bad token) where one is refused.  An
+    exact token is parsed once, its immutable ``Fraction`` shared by repeats."""
     if mode == EXACT:
-        return list(map(Fraction, tokens))
+        return list(map({t: Fraction(t) for t in set(tokens)}.__getitem__, tokens))
     try:
         values = list(map(float, tokens))  # the float weights of tokens without a "/"
     except ValueError:
@@ -130,13 +130,15 @@ def _weights(tokens, mode: str) -> list:
 
 
 def write_measure(path, measure: AtomicMeasure, header: tuple[str, ...] = ()) -> None:
-    text = _WEIGHT_TEXT[measure.mode]
-    row = "{} {}".format if measure.dimension == 1 else "{} {} {}".format
-    write_text(path, header, [row(*p, text(w)) for p, w in sorted(measure.atoms.items())])
+    items = sorted(measure.atoms.items())
+    if measure.dimension == 1:
+        lines = [f"{i} {w!s}" for (i,), w in items]
+    else:
+        lines = [f"{i} {j} {w!s}" for (i, j), w in items]
+    write_text(path, header, lines)
 
 
-def _atom_fields(line: str) -> list[str]:
-    return line.split("#", 1)[0].split()
+_COMMENT = re.compile("#[^\n]*")  # a measure comment, to the end of its line
 
 
 def _check_atom(tokens, dimension: int, mode: str) -> None:
@@ -154,7 +156,7 @@ def _check_atom(tokens, dimension: int, mode: str) -> None:
 
 
 def read_measure(path, mode: str = EXACT) -> AtomicMeasure:
-    lines = _fields(path, _atom_fields)
+    lines = list(map(str.split, _COMMENT.sub("", _text(path)).split("\n")))
     rows = list(filter(None, lines))
     if not rows:
         # an all-comment file is the zero measure on the line
@@ -177,13 +179,13 @@ def read_measure(path, mode: str = EXACT) -> AtomicMeasure:
 def write_signal_csv(path, signal: GridSignal, header: tuple[str, ...] = ()) -> None:
     if signal.dimension != 1:
         raise FormatError("CSV serialization is for 1D signals; use PGM or raw for 2D")
-    values = map(_WEIGHT_TEXT[signal.mode], signal.values.tolist())
+    values = signal.values.tolist()
     if signal.is_lattice:
-        lines = ["index,value"] + [f"{i},{v}" for i, v in
+        lines = ["index,value"] + [f"{i},{v!s}" for i, v in
                                    enumerate(values, signal.lattice_origin()[0])]
     else:
         xs = signal.axis_coordinates(0).tolist()
-        lines = ["x,value"] + [f"{x!r},{v}" for x, v in zip(xs, values)]
+        lines = ["x,value"] + [f"{x!r},{v!s}" for x, v in zip(xs, values)]
     write_text(path, header, lines)
 
 
@@ -211,7 +213,7 @@ def _check_row(fields, kind: str, mode: str, seen: set) -> None:
 
 
 def read_signal_csv(path, mode: str | None = None) -> GridSignal:
-    lines = _fields(path, _csv_fields)
+    lines = list(map(_csv_fields, _text(path).split("\n")))
     rows = list(filter(None, lines))
     if not rows:
         raise FormatError("missing header row", path=str(path))
@@ -417,7 +419,7 @@ def write_raw_grid(path, signal: GridSignal, header: tuple[str, ...] = ()) -> No
     if signal.mode != FLOAT:
         raise FormatError("raw grids are float64 only")
     with open(path, "wb") as fh:
-        fh.write(np.asarray(signal.values, dtype="<f8").tobytes(order="C"))
+        fh.write(memoryview(np.ascontiguousarray(signal.values, dtype="<f8")).cast("B"))
     write_text(str(path) + _DESC, header, [
         "dtype float64-le",
         "shape " + " ".join(str(n) for n in signal.shape),

@@ -418,7 +418,7 @@ class AtomicMeasure:
         return tv
 
     def _abs_sum(self) -> Weight:
-        return sum((abs(w) for w in self._atoms.values()), self._zero())
+        return sum(map(abs, self._atoms.values()), self._zero())
 
     def max_abs_weight(self) -> Weight:
         return max((abs(w) for w in self._atoms.values()), default=self._zero())

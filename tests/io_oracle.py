@@ -1,4 +1,4 @@
-"""The per-line text readers that ``deconv.io`` replaced by column parses.
+"""The per-line text readers and per-row writers that ``deconv.io`` replaced.
 
 ``read_measure`` and ``read_signal_csv`` below are the readers as they
 were before the column parse, kept verbatim (with the ``parse_weight``
@@ -6,6 +6,11 @@ they called) as the reference that ``tests/test_io_oracle.py`` holds the
 present readers to: the same measure or signal, or the same
 ``FormatError`` text, on every file.  They iterate the file object line by
 line, so only ``"\\n"`` (after universal newlines) ends a line.
+
+``write_measure``, ``write_signal_csv`` and ``write_raw_grid`` are the
+writers as they were before each row became one f-string, kept verbatim
+(with the ``write_text`` and weight-to-text table they called): the
+present writers must write the same bytes.
 """
 from fractions import Fraction
 
@@ -14,6 +19,50 @@ import numpy as np
 from deconv.errors import FormatError
 from deconv.grids import EXACT, FLOAT, GridSignal
 from deconv.measures import AtomicMeasure, from_atoms
+
+_DESC = ".desc"
+_WEIGHT_TEXT = {EXACT: str, FLOAT: float.__repr__}  # a weight of each mode as text
+
+
+def write_text(path, header: tuple[str, ...], lines) -> None:
+    """Write ``# `` echo lines for ``header``, then ``lines``, in UTF-8 with
+    ``\n`` endings; the text is formed before the file is opened."""
+    rows = [f"# {h}" for h in header] + list(lines)
+    text = "\n".join(rows) + "\n" if rows else ""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_measure(path, measure: AtomicMeasure, header: tuple[str, ...] = ()) -> None:
+    text = _WEIGHT_TEXT[measure.mode]
+    row = "{} {}".format if measure.dimension == 1 else "{} {} {}".format
+    write_text(path, header, [row(*p, text(w)) for p, w in sorted(measure.atoms.items())])
+
+
+def write_signal_csv(path, signal: GridSignal, header: tuple[str, ...] = ()) -> None:
+    if signal.dimension != 1:
+        raise FormatError("CSV serialization is for 1D signals; use PGM or raw for 2D")
+    values = map(_WEIGHT_TEXT[signal.mode], signal.values.tolist())
+    if signal.is_lattice:
+        lines = ["index,value"] + [f"{i},{v}" for i, v in
+                                   enumerate(values, signal.lattice_origin()[0])]
+    else:
+        xs = signal.axis_coordinates(0).tolist()
+        lines = ["x,value"] + [f"{x!r},{v}" for x, v in zip(xs, values)]
+    write_text(path, header, lines)
+
+
+def write_raw_grid(path, signal: GridSignal, header: tuple[str, ...] = ()) -> None:
+    if signal.mode != FLOAT:
+        raise FormatError("raw grids are float64 only")
+    with open(path, "wb") as fh:
+        fh.write(np.asarray(signal.values, dtype="<f8").tobytes(order="C"))
+    write_text(str(path) + _DESC, header, [
+        "dtype float64-le",
+        "shape " + " ".join(str(n) for n in signal.shape),
+        "spacing " + " ".join(repr(s) for s in signal.spacing),
+        "origin " + " ".join(repr(o) for o in signal.origin),
+    ])
 
 
 def parse_weight(token: str, mode: str):
