@@ -38,6 +38,19 @@ allocate a fresh complex grid per pass, two more 2 MB half spectra per
 step on a 512^2 grid, whose pages the process faults in again; in place,
 a 2D step holds one complex half spectrum and its real output.  The
 in-place passes use ``numpy.fft``'s ``out=``, hence numpy 2.0 or later.
+The step skips the passes that zeros make dead, and each skip keeps the
+bytes, because numpy's FFTs transform their lines one by one.  A deblur's
+table covers only the columns of its band (every bin past it is zeroed),
+so the leading-axis passes and the multiply run on those columns alone,
+and the rest are set to zero before the last irfft: 50 of 257 columns for
+the reciprocal at its 1e-8 floor on a 512^2 grid at spacing 0.1, 41 for
+the analytic amplifier at band 5.  The full passes would have multiplied
+those columns by 0.0, so only the sign of an output zero can differ; two
+fallbacks run the full passes instead, when ``max|g| * g.size`` is past
+``PRUNE_BOUND`` (2^960, where a skipped value could overflow and 0.0 turn
+it into a refused NaN) and when the pruned output holds an exact zero.  A
+blur skips the rfft of the rows its padding left zero and copies in the
+cached rfft of a zero row, signed zeros and all.
 Blur's table is the transfer function of the discrete blur, real because
 the kernel sampled at the wrapped offsets of a grid is even and separable:
 the outer product of one real 1D spectrum per axis.  A deblur's table
@@ -64,8 +77,11 @@ FFTW's split of planning from execution (Frigo and Johnson, Proc. IEEE
 read-only in a second ``lru_cache``, keyed by the grid's ``(shape,
 spacing)``, the method, the band limit and the floor (none for the analytic
 amplifier), of ``TABLE_CACHE_GRIDS * len(DEBLUR_METHODS)`` plans: one per
-method on each warm grid.  Its multiplier takes 1 MB on a 512^2 grid and
-67 MB on a 4096^2 grid; its diagnostics hold the table set's |u|^2 / 2,
+method on each warm grid.  Its multiplier is cropped to the columns of its
+band, about ``n * s`` of an ``n``-sample last axis at spacing ``s`` for the
+reciprocal at its default floor (|u| <= 6.1): 0.2 MB on a 512^2 grid at
+spacing 0.1, where the full half layout took 1 MB, and 13 MB on a 4096^2
+grid at that spacing; its diagnostics hold the table set's |u|^2 / 2,
 and keep it alive if that set is evicted first.  The checks of the
 arguments run on every call, and a refusal is never cached.  The filter
 step keeps one free complex half-spectrum buffer per half shape for the
@@ -187,7 +203,7 @@ def dft_inverse(spectrum: Spectrum) -> GridSignal:
         view[ax] = -1
         vals = vals * np.exp(-1j * u * spectrum.origin[ax]).reshape(view)
     out = np.fft.fftn(vals) / (vals.size * float(np.prod(spectrum.spacing)))
-    return GridSignal._own(out.real, spectrum.spacing, spectrum.origin)
+    return GridSignal._own(out.real.copy(), spectrum.spacing, spectrum.origin)
 
 
 def fourier_at(f: GridSignal, u) -> complex:
@@ -303,6 +319,14 @@ def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
     _require_float(f)
     if not 0 <= margin < math.inf:
         raise ParameterOutOfRange("margin must be finite and >= 0")
+    lefts, sizes = _padding(f, margin)
+    origin = tuple(o - left * s for o, left, s in zip(f.origin, lefts, f.spacing))
+    return GridSignal._own(_placed(f.values, lefts, sizes), f.spacing, origin)
+
+
+def _padding(f: GridSignal, margin: float) -> tuple[list[int], list[int]]:
+    """Per axis, the zero samples :func:`padded_for_blur` puts before ``f`` and
+    the padded length."""
     lefts, sizes = [], []
     for ax in range(f.dimension):
         base = math.ceil(margin / f.spacing[ax])
@@ -310,16 +334,29 @@ def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
         size = 1 << max(1, (total - 1).bit_length())
         lefts.append(base + (size - total) // 2)
         sizes.append(size)
-    origin = tuple(o - left * s for o, left, s in zip(f.origin, lefts, f.spacing))
-    return GridSignal._own(_placed(f.values, lefts, sizes), f.spacing, origin)
+    return lefts, sizes
 
 
 # Free half-spectrum buffers of _filtered by half shape, least recently used first.
 _SPECTRA: dict[tuple[int, ...], np.ndarray] = {}
 _SPECTRA_LOCK = threading.Lock()
+# Every DFT value of g is at most sum|g| <= max|g| * g.size, and the partial
+# sums of numpy's FFT passes exceed that by far less than the 2^64 left below
+# float64's 2^1024; so under this bound the full passes multiply every column
+# a narrow table leaves out into a signed zero, never an inf into a NaN.
+PRUNE_BOUND = 2.0 ** 960
 
 
-def _filtered(g: GridSignal, table: np.ndarray) -> GridSignal:
+@functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
+def _zero_row(n: int) -> np.ndarray:
+    """The rfft of ``n`` zeros, signed zeros and all, read-only."""
+    row = np.fft.rfft(np.zeros(n))
+    row.setflags(write=False)
+    return row
+
+
+def _filtered(g: GridSignal, table: np.ndarray,
+              rows: tuple[int, int] | None = None) -> GridSignal:
     """``g`` with its rfftn half spectrum multiplied by ``table``, on ``g``'s grid.
 
     The passes are those of ``rfftn`` and ``irfftn``, in their order: an
@@ -330,8 +367,24 @@ def _filtered(g: GridSignal, table: np.ndarray) -> GridSignal:
     a fresh complex grid per pass: a 2D step holds one complex half spectrum
     and the real output, not three complex grids and the output.
 
+    Passes that zeros make dead are skipped; each FFT of numpy transforms
+    its lines one by one, so a line's bytes do not depend on which others
+    run.  A ``table`` narrower than the half spectrum stands for itself
+    followed by zeros (a deblur's band): the leading-axis passes and the
+    multiply run on its columns only, and the other columns are set to
+    zero before the irfft.  That is exact up to the sign of zeros, where
+    the full passes would have multiplied those columns by 0.0: every
+    nonzero output is the same, and an output of zero may differ in sign.
+    So the full passes run instead when ``max|g| * g.size`` is past
+    :data:`PRUNE_BOUND`, where a skipped value could have been an inf that
+    0.0 turns into NaN and the step refused, or run again when the pruned
+    output holds an exact zero.  ``rows``, a ``(start, stop)`` of the
+    leading axis outside which every sample is +0.0 (a blur's padding),
+    limits the rfft to those rows; the others take the cached rfft of a
+    zero row, the bytes the rfft gives them.
+
     The half spectrum is taken from the free buffers of its shape, or made
-    when none is free, and put back after the passes; the rfft overwrites
+    when none is free, and put back after the passes; the rfft pass fills
     all of it.  A call owns its buffer while it runs, so concurrent or
     nested calls never share one.  The last ``TABLE_CACHE_GRIDS`` shapes
     keep one buffer each.  The returned samples are fresh.
@@ -341,20 +394,42 @@ def _filtered(g: GridSignal, table: np.ndarray) -> GridSignal:
         spectrum = _SPECTRA.pop(half, None)
     if spectrum is None:
         spectrum = np.empty(half, dtype=complex)
-    leading = range(g.dimension - 1)
+    prune = (table.shape[-1] < half[-1]
+             and max(g.values.max(), -g.values.min()) <= PRUNE_BOUND / g.values.size)
     with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
-        np.fft.rfft(g.values, out=spectrum)
-        for axis in reversed(leading):
-            np.fft.fft(spectrum, axis=axis, out=spectrum)
-        spectrum *= table
-        for axis in leading:
-            np.fft.ifft(spectrum, axis=axis, out=spectrum)
-        values = np.fft.irfft(spectrum, n=g.shape[-1])
+        values = _passes(g, spectrum, table, rows, prune)
+        if prune and not values.all():
+            values = _passes(g, spectrum, table, rows, False)
     with _SPECTRA_LOCK:
         _SPECTRA[half] = spectrum
         if len(_SPECTRA) > TABLE_CACHE_GRIDS:
             del _SPECTRA[next(iter(_SPECTRA))]
     return GridSignal._own(values, g.spacing, g.origin)
+
+
+def _passes(g: GridSignal, spectrum: np.ndarray, table: np.ndarray,
+            rows: tuple[int, int] | None, prune: bool) -> np.ndarray:
+    """The passes of :func:`_filtered` through ``spectrum``; the real output.
+    The columns past the table's width are multiplied by 0.0; with ``prune``
+    the leading-axis passes skip them."""
+    if rows is None:
+        np.fft.rfft(g.values, out=spectrum)
+    else:
+        start, stop = rows
+        np.fft.rfft(g.values[start:stop], out=spectrum[start:stop])
+        spectrum[:start] = _zero_row(g.shape[-1])
+        spectrum[stop:] = _zero_row(g.shape[-1])
+    width = table.shape[-1]
+    kept, rest = spectrum[..., :width], spectrum[..., width:]
+    lines = kept if prune else spectrum
+    leading = range(g.dimension - 1)
+    for axis in reversed(leading):
+        np.fft.fft(lines, axis=axis, out=lines)
+    kept *= table
+    rest *= 0.0
+    for axis in leading:
+        np.fft.ifft(lines, axis=axis, out=lines)
+    return np.fft.irfft(spectrum, n=g.shape[-1])
 
 
 def blur(f: GridSignal) -> GridSignal:
@@ -366,7 +441,11 @@ def blur(f: GridSignal) -> GridSignal:
     """
     padded = padded_for_blur(f)
     _validate_kernel_grid(padded.shape, padded.spacing)
-    return _filtered(padded, _tables(padded.shape, padded.spacing).transfer)
+    rows = None
+    if f.dimension == 2:
+        top = _padding(f, KERNEL_REACH)[0][0]
+        rows = (top, top + f.shape[0])
+    return _filtered(padded, _tables(padded.shape, padded.spacing).transfer, rows)
 
 
 @dataclass(frozen=True)
@@ -440,8 +519,11 @@ def _deblur_plan(g: GridSignal, method: str, band_limit: float | None,
 @functools.lru_cache(maxsize=TABLE_CACHE_GRIDS * len(DEBLUR_METHODS))
 def _grid_plan(shape, spacing, method: str, band_limit: float | None,
                reciprocal_floor: float | None) -> tuple[np.ndarray, SpectrumDiagnostics]:
-    """The cached plan of a checked deblur on a ``(shape, spacing)`` grid, its
-    multiplier read-only; a refusal of the grid is raised, never cached."""
+    """The cached plan of a checked deblur on a ``(shape, spacing)`` grid; a
+    refusal of the grid is raised, never cached.  The multiplier is
+    read-only and cropped to the half-layout columns up to the last one
+    that holds an applied bin, which :func:`_filtered` reads as zero past
+    its width."""
     transfer, full_log_amp, log_amp, multiplicity = _tables(shape, spacing)
     try:
         edge = (math.inf if band_limit is None else band_limit) ** 2 / 2.0
@@ -466,6 +548,8 @@ def _grid_plan(shape, spacing, method: str, band_limit: float | None,
         floor_used = None
         multiplier = np.exp(log_amp, out=np.zeros_like(log_amp), where=mask)
         gain = log_amp[mask]
+    columns = np.flatnonzero(mask.reshape(-1, mask.shape[-1]).any(axis=0))
+    multiplier = multiplier[..., : columns[-1] + 1 if columns.size else 0].copy()
     counts = np.broadcast_to(multiplicity, mask.shape)[mask]
     applied = int(counts.sum())
     if applied:

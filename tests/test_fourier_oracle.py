@@ -175,6 +175,16 @@ def test_kernel_spectrum_matches_oracle(shape):
     assert float(np.max(np.abs(new - old))) <= 1e-14
 
 
+def test_dft_inverse_returns_contiguous_samples_with_the_bytes_of_the_complex_route():
+    rng = np.random.default_rng(3)
+    for shape in ((64,), (64, 64), (15, 22)):
+        f = GridSignal(rng.standard_normal(shape), 0.25, -1.5)
+        spectrum = gaussian.dft_forward(f)
+        back = gaussian.dft_inverse(spectrum)
+        assert back.values.flags.c_contiguous and back.values.base is None
+        assert back.values.tobytes() == oracle.dft_inverse(spectrum.values, f).values.tobytes()
+
+
 # --- the filter step -------------------------------------------------------------
 
 
@@ -222,6 +232,159 @@ def test_a_refused_filter_step_leaves_the_next_one_on_its_shape_right():
     table = rng.standard_normal((6, 3))
     assert gaussian._filtered(f, table).values.tobytes() \
         == oracle.filtered(f, table).values.tobytes()
+
+
+def _outcome(step, *args):
+    """The output bytes of a filter step, or the refusal it raises."""
+    try:
+        out = step(*args)
+    except NonFiniteResult as exc:
+        return "refused", str(exc)
+    return out.spacing, out.origin, out.values.shape, out.values.tobytes()
+
+
+def _zero_padded(table: np.ndarray, shape) -> np.ndarray:
+    full = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
+    full[..., : table.shape[-1]] = table
+    return full
+
+
+def _signed_zeros(rng, shape) -> np.ndarray:
+    return rng.choice((-0.0, 0.0), shape)
+
+
+@st.composite
+def narrow_filter_steps(draw):
+    """A 1D or 2D signal with 2 to 40 samples per axis and a table narrower
+    than its half spectrum, entries as in :func:`filter_steps`.  The samples
+    are normal, all +-0.0, +-0.0 with one spike of +-5e-324, near 1e300 or
+    up to 1.6e308 and alternating in sign, whose highest bins overflow."""
+    shape = tuple(draw(st.lists(st.integers(2, 40), min_size=1, max_size=2)))
+    spacing = tuple(draw(st.sampled_from(SPACINGS)) for _ in shape)
+    origin = tuple(draw(st.sampled_from((-3.3, 0.0, 1.7))) for _ in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("normal", "zeros", "spike", "huge", "alternating")))
+    if kind == "normal":
+        values = rng.standard_normal(shape)
+    elif kind == "huge":
+        values = rng.standard_normal(shape) * 10.0 ** rng.uniform(299.0, 301.0)
+    elif kind == "alternating":
+        values = (-1.0) ** np.indices(shape).sum(axis=0) * 10.0 ** rng.uniform(305.0, 308.2)
+    else:
+        values = _signed_zeros(rng, shape)
+        if kind == "spike":
+            values.flat[rng.integers(values.size)] = rng.choice((-5e-324, 5e-324))
+    narrow = shape[:-1] + (draw(st.integers(0, shape[-1] // 2)),)
+    table = rng.choice((-1.0, 1.0), narrow) * 10.0 ** rng.uniform(0.0, 8.0, narrow)
+    table[rng.random(narrow) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    return GridSignal(values, spacing, origin), table
+
+
+# A narrow table skips the leading-axis passes of the columns past its width;
+# the refusals, the exact zeros whose sign those passes set, and the 5e-324
+# spikes that round to such zeros must come out as the full passes give them.
+@settings(max_examples=300, deadline=None)
+@given(narrow_filter_steps())
+def test_a_narrow_table_filters_as_the_oracle_does_with_it_zero_padded(step):
+    g, table = step
+    assert _outcome(gaussian._filtered, g, table) \
+        == _outcome(oracle.filtered, g, _zero_padded(table, g.shape))
+
+
+def _pruned_calls(monkeypatch) -> list[bool]:
+    """The ``prune`` flag of every pass set :func:`gaussian._filtered` runs from now on."""
+    calls = []
+    passes = gaussian._passes
+
+    def spy(*args):
+        calls.append(bool(args[-1]))
+        return passes(*args)
+
+    monkeypatch.setattr(gaussian, "_passes", spy)
+    return calls
+
+
+def test_signals_past_the_overflow_bound_take_the_full_passes(monkeypatch):
+    """Rows 1 to 7 alternate in sign, so their rfft is all in the last column,
+    and its column pass overflows; column 0 holds row 0's 1.0 and stays finite."""
+    calls = _pruned_calls(monkeypatch)
+    table = np.ones((8, 1))
+    for peak, pruned in ((gaussian.PRUNE_BOUND / 48, True),
+                         (np.nextafter(gaussian.PRUNE_BOUND / 48, math.inf), False)):
+        g = GridSignal(np.full((8, 6), peak), 0.5, 0.0)
+        assert _outcome(gaussian._filtered, g, table) \
+            == _outcome(oracle.filtered, g, _zero_padded(table, g.shape))
+        assert calls[-1:] == [pruned]
+    values = np.zeros((8, 6))
+    values[1:] = 1e307 * (-1.0) ** np.arange(6)
+    values[0, 0] = 1.0
+    g = GridSignal(values, 0.5, 0.0)
+    for step, used in ((gaussian._filtered, table), (oracle.filtered, _zero_padded(table, (8, 6)))):
+        with pytest.raises(NonFiniteResult):
+            step(g, used)
+    assert calls[-1:] == [False]
+
+
+@pytest.mark.parametrize("shape", [(9,), (12,), (6, 7), (8, 10)])
+def test_an_exact_zero_output_takes_the_full_passes(monkeypatch, shape):
+    """Signed zeros, one of them a 5e-324 spike that the narrow band rounds
+    away: the pruned passes give exact zeros, so the full ones run again."""
+    calls = _pruned_calls(monkeypatch)
+    values = _signed_zeros(np.random.default_rng(4), shape)
+    values.flat[1] = -5e-324
+    g = GridSignal(values, 0.5, 0.0)
+    table = np.full(shape[:-1] + (2,), 3.0)
+    assert _outcome(gaussian._filtered, g, table) \
+        == _outcome(oracle.filtered, g, _zero_padded(table, shape))
+    assert calls == [True, False]
+
+
+@st.composite
+def padded_blurs(draw):
+    """A 2D signal of 2 to 40 samples per axis, normal, all +-0.0, or +-0.0
+    with one spike, on a grid that samples the kernel."""
+    shape = tuple(draw(st.lists(st.integers(2, 40), min_size=2, max_size=2)))
+    spacing = tuple(draw(st.sampled_from((0.25, 0.4, 0.5))) for _ in shape)
+    origin = tuple(draw(st.sampled_from((-3.3, 0.0, 1.7))) for _ in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("normal", "zeros", "spike")))
+    values = rng.standard_normal(shape) if kind == "normal" else _signed_zeros(rng, shape)
+    if kind == "spike":
+        values.flat[rng.integers(values.size)] = rng.choice((-5e-324, 5e-324))
+    return GridSignal(values, spacing, origin)
+
+
+# Blur skips the rfft of the rows its padding leaves zero and copies the
+# cached rfft of a zero row, -0.0 imaginary parts and all, into them.
+@settings(max_examples=100, deadline=None)
+@given(padded_blurs())
+def test_blur_gives_the_bytes_of_the_full_filter_step_on_its_padded_grid(f):
+    padded = padded_for_blur(f)
+    transfer = gaussian._tables(padded.shape, padded.spacing).transfer
+    assert _outcome(blur, f) == _outcome(oracle.filtered, padded, transfer)
+
+
+# Found by search: with +0.0 in place of the rfft of a zero row, an exact zero
+# of each of these blurs flips its sign.
+@pytest.mark.parametrize("shape, spacing, index, spike", [
+    ((2, 2), 0.4, 3, -5e-324), ((3, 4), 0.5, 4, 5e-324), ((6, 5), 0.5, 8, -5e-324)])
+def test_a_blurred_lone_spike_keeps_the_signed_zeros_of_the_full_filter_step(shape, spacing,
+                                                                            index, spike):
+    values = np.zeros(shape)
+    values.flat[index] = spike
+    f = GridSignal(values, spacing, 0.0)
+    padded = padded_for_blur(f)
+    want = oracle.filtered(padded, gaussian._tables(padded.shape, padded.spacing).transfer)
+    assert blur(f).values.tobytes() == want.values.tobytes()
+
+
+def test_the_zero_row_spectrum_is_the_rfft_of_zeros_and_read_only():
+    for n in (2, 8, 512):
+        row = gaussian._zero_row(n)
+        assert row.tobytes() == np.fft.rfft(np.zeros(n)).tobytes()
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+    assert np.signbit(gaussian._zero_row(512).imag).any()
 
 
 # Four threads, more than the cores of most test machines, with a short switch
@@ -401,6 +564,34 @@ def test_a_band_of_5_and_of_5_0_share_one_plan():
     assert plans[0] is plans[1]
     assert type(plans[0][1].band_limit) is float
     assert gaussian._grid_plan.cache_info().misses == 1
+
+
+# A plan's multiplier ends with the last half-layout column that holds an
+# applied bin: that column holds a nonzero, and the nonzero bins it keeps,
+# counted with their multiplicities, are every applied bin.
+@settings(max_examples=40, deadline=None)
+@given(PLAN_KEYS)
+def test_a_plan_multiplier_is_read_only_and_ends_at_its_last_applied_column(key):
+    (shape, spacing), method, band_limit, floor = key
+    try:
+        multiplier, diag = gaussian._grid_plan(*_cache_key(key))
+    except DeconvError:
+        return
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    width = multiplier.shape[-1]
+    assert multiplier.shape[:-1] == half[:-1] and width <= half[-1]
+    assert not multiplier.flags.writeable and multiplier.flags.c_contiguous
+    assert width == 0 or multiplier[..., -1].any()
+    multiplicity = gaussian._tables(shape, spacing).multiplicity[:width]
+    assert int(np.sum((multiplier != 0) * multiplicity)) == diag.applied_bins
+
+
+@pytest.mark.parametrize("method, band_limit, width", [
+    ("discrete-reciprocal", None, 50), ("analytic-amplifier", 5.0, 41)])
+def test_the_spectral_benchmark_plans_keep_a_fifth_of_the_columns(method, band_limit, width):
+    g = GridSignal(np.zeros((512, 512)), 0.1, 0.0)
+    multiplier, _ = gaussian._deblur_plan(g, method, band_limit, 1e-8)
+    assert multiplier.shape == (512, width)
 
 
 @pytest.mark.parametrize("g, method, band_limit, floor, error", [
