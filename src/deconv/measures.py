@@ -20,9 +20,14 @@ for d in {1, 2}:
   array, evaluated by Horner's rule, ``_horner``, on one packed integer
   while its slots are narrow (Kronecker substitution) and on the array
   otherwise;
+* an exact product of two such arrays runs on int64 while its bound,
+  ``max|a| sum|b|``, stays below 2^62 (FLINT's ``fmpz`` keeps a machine
+  word up to that size too), and on the object arrays past it;
 * measure * measure keeps ``_convolve_core``, whose float sums, atom order
   and sparse slots the oracles pin; the benchmark's exact Neumann steps
   ran 2.6 to 2.9 times slower through it (its 2D power steps about even).
+  An exact residual ``t * v - delta_0`` whose box is dense is the one
+  product of measures that runs on ``_Dense`` instead (``_residual``).
 
 Because truncated series are only inverses up to boundary junk, the
 "is an inverse" question is always asked on an explicit window: the
@@ -196,6 +201,26 @@ def _shifted_sum(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _int64_product(values: np.ndarray, taps: np.ndarray) -> np.ndarray | None:
+    """The product of two object arrays of Python ints, computed on int64, or
+    None when it might not fit there.
+
+    Every cell of the product, and every partial sum of it, is at most
+    ``max|values| * sum|taps|`` in magnitude.  While that bound, ``max|values|``
+    and ``sum|taps|`` (which bounds ``max|taps|``) are all below 2^62, both
+    operands convert to int64 and no sum wraps; the product is then
+    ``np.convolve`` in 1D and :func:`_shifted_sum` in 2D, handed back as Python
+    ints.  Past the bound the caller keeps the object-array :func:`_shifted_sum`.
+    """
+    top = max(map(abs, values.ravel().tolist()))
+    total = sum(map(abs, taps.ravel().tolist()))
+    if max(top, total, top * total) >> 62:
+        return None
+    values, taps = values.astype(np.int64), taps.astype(np.int64)
+    out = np.convolve(values, taps) if values.ndim == 1 else _shifted_sum(values, taps)
+    return out.astype(object)
+
+
 class _Dense:
     """A measure, signal or series as one array over its box.
 
@@ -205,9 +230,12 @@ class _Dense:
     :meth:`minus`, :meth:`on_box`) keep that layout, so a chain of them, such
     as ``onesided.reconstruct``'s blur, unblur and spill, adds and multiplies
     integers; exact ``Fraction``s are formed once, by :meth:`measure` or
-    :meth:`signal`.  A series may run on one packed int instead (see
-    :func:`_horner` for the slot width and when, :func:`_packed_horner` for
-    the slots), which is unpacked into this layout.
+    :meth:`signal`.  An exact product runs on int64 while the numbers fit
+    (:func:`_int64_product` states the bound) and on the object arrays past
+    it; a float one is always :func:`_shifted_sum`, whose order fixes its
+    bytes.  A series may run on one packed int instead (see :func:`_horner`
+    for the slot width and when, :func:`_packed_horner` for the slots), which
+    is unpacked into this layout.
     """
 
     __slots__ = ("lo", "nums", "den")
@@ -226,15 +254,19 @@ class _Dense:
             dtype = object if value.mode == EXACT else np.float64
             return cls((0,) * value.dimension, np.zeros((1,) * value.dimension, dtype), 1)
         points, weights = zip(*value.atoms.items())
-        lo, hi = _box(points)
+        axes = tuple(zip(*points))
+        lo = tuple(map(min, axes))
         nums, den = _common_scale(weights, value.mode)
-        box = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)), nums.dtype)
-        box[tuple(zip(*([c - low for c, low in zip(p, lo)] for p in points)))] = nums
+        box = np.zeros(tuple(max(a) - l + 1 for a, l in zip(axes, lo)), nums.dtype)
+        box[tuple([c - low for c in axis] for axis, low in zip(axes, lo))] = nums
         return cls(lo, box, den)
 
     def convolve(self, other: "_Dense") -> "_Dense":
-        return _Dense(tuple(a + b for a, b in zip(self.lo, other.lo)),
-                      _shifted_sum(self.nums, other.nums), self.den * other.den)
+        nums = _int64_product(self.nums, other.nums) if self.nums.dtype == object else None
+        if nums is None:
+            nums = _shifted_sum(self.nums, other.nums)
+        return _Dense(tuple(a + b for a, b in zip(self.lo, other.lo)), nums,
+                      self.den * other.den)
 
     def add_unit(self, c: int) -> "_Dense":
         """``c delta_0`` added in place, as one integer add; the box must hold the origin."""
@@ -643,7 +675,26 @@ def _window_and_tol(t: AtomicMeasure, other: AtomicMeasure, window, tol):
 
 
 def _residual(t: AtomicMeasure, v: AtomicMeasure) -> AtomicMeasure:
-    """``t * v - delta_0``, by carrying out the convolution."""
+    """``t * v - delta_0``, by carrying out the convolution.
+
+    Exact nonzero measures whose product box, widened to hold the origin,
+    :func:`_dense_box` accepts run on :class:`_Dense` numerators: one product
+    (on int64 while it fits), one :meth:`_Dense.minus` of delta_0, and
+    ``Fraction``s for the nonzero residual atoms only, listed in row-major
+    order.  Float measures and sparse boxes go through
+    :meth:`AtomicMeasure.convolve`, so float sums keep their order and atoms
+    far apart their sparse slots.
+    """
+    t._check_compatible(v)
+    if t.mode == EXACT and t._atoms and v._atoms:
+        (lo_t, hi_t), (lo_v, hi_v) = _box(t._atoms), _box(v._atoms)
+        cells = math.prod(max(ht + hv, 0) - min(lt + lv, 0) + 1
+                          for lt, ht, lv, hv in zip(lo_t, hi_t, lo_v, hi_v))
+        if _dense_box(cells, len(t) * len(v)):
+            values, taps = sorted((t, v), key=len, reverse=True)  # a shifted copy per tap
+            product = _Dense.of(values).convolve(_Dense.of(taps))
+            unit = _Dense((0,) * t.dimension, np.ones((1,) * t.dimension, dtype=object), 1)
+            return product.minus(unit).measure(t)
     return t.convolve(v) - AtomicMeasure.unit(t.dimension, t.mode)
 
 

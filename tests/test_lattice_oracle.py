@@ -402,6 +402,123 @@ def test_horner_packs_up_to_the_crossover_and_not_past_it(x, monkeypatch):
         assert dense_view(got) == dense_view(horner_on(x, series(order), 0))
 
 
+# --- exact products on int64 against the object-array loop -----------------------
+
+
+@st.composite
+def object_operands(draw):
+    """Two object arrays of Python ints of one dimension, up to 5 cells per axis.
+    Each draws its magnitudes from 1 to 70 bits, so products straddle the 2^62
+    bound of the int64 route; signs and zeros mix, and an operand may be all zeros."""
+    dimension = draw(st.sampled_from((1, 2)))
+
+    def one():
+        shape = draw(st.tuples(*[st.integers(1, 5)] * dimension))
+        bits = draw(st.integers(1, 70))
+        cell = st.just(0) | st.integers(-(1 << bits), 1 << bits)
+        count = math.prod(shape)
+        nums = draw(st.lists(cell, min_size=count, max_size=count))
+        return np.array(nums, dtype=object).reshape(shape)
+
+    return one(), one()
+
+
+def object_array(rows):
+    return np.array(rows, dtype=object)
+
+
+@settings(max_examples=300, deadline=None)
+@given(object_operands())
+@example((object_array([0, 0, 0]), object_array([1 << 70, -(1 << 69)])))
+@example((object_array([[1 << 70], [3]]), object_array([[0, 0]])))
+@example((object_array([1 << 31, -5]), object_array([(1 << 31) - 1])))  # below the bound
+def test_exact_dense_convolve_matches_the_object_loop(case):
+    values, taps = case
+    lo = (0,) * values.ndim
+    got = _Dense(lo, values, 3).convolve(_Dense(lo, taps, 5))
+    assert all(type(n) is int for n in got.nums.flat)
+    assert (got.lo, got.den) == (lo, 15)
+    assert got.nums.tolist() == measures._shifted_sum(values, taps).tolist()
+
+
+@pytest.mark.parametrize("values, taps, machine", [
+    ([1 << 31], [(1 << 31) - 1], True),  # max|values| * sum|taps| = 2^62 - 2^31
+    ([1 << 31], [1 << 31], False),  # 2^62
+    ([(1 << 61) - 1, 0], [1, 1], True),
+    ([1 << 61, 0], [1, -1], False),  # every cell fits; the bound does not
+    ([0, 0], [1 << 62], False),  # an all-zero operand beside one past the bound
+    ([1 << 62], [0], False),
+    ([[3, -4], [0, 5]], [[-7], [2]], True),
+], ids=["below", "at", "two-taps-below", "two-taps-at", "zeros-huge-taps", "huge-zero-taps", "2d"])
+def test_int64_route_is_taken_below_the_bound_only(values, taps, machine):
+    got = measures._int64_product(object_array(values), object_array(taps))
+    assert (got is not None) is machine
+    if machine:
+        assert got.dtype == object and all(type(n) is int for n in got.flat)
+        assert got.tolist() == measures._shifted_sum(object_array(values),
+                                                     object_array(taps)).tolist()
+
+
+# --- exact residuals against the product of measures -------------------------------
+
+
+def dense_residual(t, v):
+    """Whether ``_residual`` runs on arrays: the box of ``t * v`` and the origin is
+    one ``_dense_box`` accepts."""
+    if t.is_zero or v.is_zero:
+        return False
+    boxes = [(min(a + b, 0), max(c + d, 0)) for (a, c), (b, d) in
+             zip(t.bounding_box(), v.bounding_box())]
+    return measures._dense_box(math.prod(hi - lo + 1 for lo, hi in boxes), len(t) * len(v))
+
+
+@st.composite
+def exact_pairs(draw):
+    """Two exact measures of one dimension, up to 6 atoms each.  Atoms sit up to 2,
+    20 or 10^9 apart, so boxes run from dense to sparse, and each measure may be
+    moved off the origin, so the product box can miss it; a measure may have one
+    atom or none.  Weights run from small integers (the int64 route) to fractions
+    with denominators up to 2^64."""
+    dimension = draw(st.sampled_from((1, 2)))
+    spread = draw(st.sampled_from((2, 20, 10**9)))
+
+    def one():
+        shift = draw(st.sampled_from((0, 4, -9, 10**9)))
+        coord = st.integers(-spread, spread).map(lambda c: c + shift)
+        atoms = draw(st.lists(st.tuples(st.tuples(*[coord] * dimension),
+                                        st.integers(-9, 9) | EXACT_WEIGHTS), max_size=6))
+        return AtomicMeasure(dimension, atoms)
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_pairs())
+@example((dirac(0, 3), dirac(0, Fraction(1, 3))))  # a one-atom inverse: no residual
+@example((dirac(4, 2), dirac(5, 7)))  # the product box misses the origin
+@example((from_atoms({0: 1, 20: 1}), from_atoms({0: 1, -20: -1})))  # sparse
+@example((from_atoms({(0, 0): 1, (10**9, 3): 2}), from_atoms({(1, -1): Fraction(1, 5)})))
+def test_exact_residual_matches_the_measure_product(pair):
+    t, v = pair
+    real = _Dense.of
+    boxed = []
+
+    def spy(value):
+        # a box 10^9 wide would be allocated: refuse it here rather than run out of memory
+        assert not isinstance(value, AtomicMeasure) or math.prod(
+            hi - lo + 1 for lo, hi in value.bounding_box() or ((0, 0),)) <= 10**4
+        boxed.append(value)
+        return real(value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Dense, "of", staticmethod(spy))
+        got = measures._residual(t, v)
+    assert bool(boxed) is dense_residual(t, v)
+    want = t.convolve(v) - AtomicMeasure.unit(t.dimension)
+    assert dict(got.atoms) == dict(want.atoms)
+    assert all(type(w) is Fraction for w in got.atoms.values())
+
+
 # --- reconstruct against the blur, unblur and spill on signals --------------------
 
 

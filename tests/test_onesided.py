@@ -13,6 +13,7 @@ from deconv import (
     DimensionMismatch,
     GridSignal,
     InsufficientTruncation,
+    NeumannConfig,
     ParameterOutOfRange,
     Side,
     UnsupportedKernel,
@@ -25,11 +26,14 @@ from deconv import (
     growth_table,
     half_pair_inverse,
     half_pair_kernel,
+    invert_three_point,
+    is_inverse,
     pair_kernel,
     perturbation_response,
     reconstruct,
     series_inverse,
     symmetric_inverse,
+    three_point_kernel,
     unit_pair_inverse,
 )
 from deconv.onesided import apply_on_window, inverse
@@ -150,6 +154,32 @@ def test_apply_on_window_is_the_full_apply_restricted(mode, first, last):
         assert [repr(v) for v in got.values] == [repr(v) for v in want.values]
     with pytest.raises(InsufficientTruncation):
         apply_on_window(g, series, (-6, 0))
+
+
+@pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "past-2^62"])
+def test_exact_mode_holds_no_numpy_integer(scale):
+    """Exact outputs hold only ``Fraction``s and Python ints, whether the products
+    ran on int64 (small samples) or on object arrays (samples past 2^62)."""
+    f = GridSignal.from_lattice_dict({-2: scale, 0: 3 * scale, 1: -2 * scale}, dimension=1)
+    series = binomial_inverse(12)
+    blurred = apply_to_signal(f, binomial_kernel())
+    recovered, report = reconstruct(f, binomial_kernel(), series)
+    windowed = apply_on_window(blurred, series, (-4, 4))
+    a = Fraction(3, 4)
+    neumann_series, _ = invert_three_point(a, NeumannConfig(order=12))
+    verdicts = [is_inverse(binomial_kernel(), series.measure, (-12, 12)),
+                is_inverse(three_point_kernel(a), neumann_series, (-12, 12))]
+    assert recovered.values.tolist() == [scale, 0, 3 * scale, -2 * scale, 0]
+    values = [*recovered.values.flat, *blurred.values.flat, *windowed.values.flat,
+              report.max_contamination, *(w for _, w in report.contamination)]
+    points = [p for p, _ in report.contamination]
+    for verdict in verdicts:
+        values.append(verdict.max_inside)
+        for part in (verdict.residual, verdict.inside, verdict.outside):
+            values += part.atoms.values()
+            points += part.atoms
+    assert values and all(type(v) in (Fraction, int) for v in values)
+    assert points and all(type(c) is int for p in points for c in p)
 
 
 def test_cauchy_product_interior_grows_linearly():
