@@ -62,32 +62,32 @@ frequency, so the origin phase factors of :func:`dft_forward` and
 as the quadrature transform and its left inverse for callers that need the
 full complex spectrum.
 
-The tables that depend only on a grid's ``(shape, spacing)`` (the
-half-layout transfer function, |u|^2 / 2 in the full layout with a view of
-its half layout, and the rfft bin multiplicities of the last axis) are
-built together, once per grid, and kept read-only in one
-``functools.lru_cache`` of ``TABLE_CACHE_GRIDS`` grids: a blur and the
-deblurs after it on the same grid, or a noise ladder, reuse one set.  On a
-512^2 grid the set takes 3 MB; a 4096^2 grid's |u|^2 / 2 alone takes
-134 MB, hence the small bound.  :func:`kernel_spectrum` builds its
-full-layout transfer function afresh on every call.
+The blur's transfer function depends only on a grid's ``(shape,
+spacing)``; its half layout is built once per grid and kept read-only in
+one ``functools.lru_cache`` of ``TABLE_CACHE_GRIDS`` grids: a blur and the
+deblurs after it on the same grid, or a noise ladder, reuse one table.  On
+a 512^2 grid it takes 1.05 MB; a 4096^2 grid's takes 67 MB, hence the small
+bound.  :func:`kernel_spectrum` builds its full-layout transfer function
+afresh on every call.
 
 FFTW's split of planning from execution (Frigo and Johnson, Proc. IEEE
 93(2), 2005) applies to the filter step too.  A deblur's plan is kept
 read-only in a second ``lru_cache``, keyed by the grid's ``(shape,
 spacing)``, the method, the band limit and the floor (none for the analytic
 amplifier), of ``TABLE_CACHE_GRIDS * len(DEBLUR_METHODS)`` plans: one per
-method on each warm grid.  Its multiplier is cropped to the columns of its
+method on each warm grid.  What only a plan reads, |u|^2 / 2 in the half
+layout and the rfft bin multiplicities of the last axis, the plan builds on
+its own miss and drops.  Its multiplier is cropped to the columns of its
 band, about ``n * s`` of an ``n``-sample last axis at spacing ``s`` for the
 reciprocal at its default floor (|u| <= 6.1): 0.2 MB on a 512^2 grid at
 spacing 0.1, where the full half layout took 1 MB, and 13 MB on a 4096^2
-grid at that spacing; its diagnostics hold the table set's |u|^2 / 2,
-and keep it alive if that set is evicted first.  The checks of the
-arguments run on every call, and a refusal is never cached.  The filter
-step keeps one free complex half-spectrum buffer per half shape for the
-last ``TABLE_CACHE_GRIDS`` shapes, 2.1 MB on a 512^2 grid and 134 MB on a
-4096^2 grid; a call owns its buffer while it runs.  So on a warm grid a
-deblur builds no table, plan or half spectrum; it allocates its result.
+grid at that spacing.  Its diagnostics are scalars, so a plan holds no
+array but its multiplier.  The checks of the arguments run on every call,
+and a refusal is never cached.  The filter step keeps one free complex
+half-spectrum buffer per half shape for the last ``TABLE_CACHE_GRIDS``
+shapes, 2.1 MB on a 512^2 grid and 134 MB on a 4096^2 grid; a call owns
+its buffer while it runs.  So on a warm grid a deblur builds no table,
+plan or half spectrum; it allocates its result.
 """
 from __future__ import annotations
 
@@ -96,7 +96,6 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -265,32 +264,28 @@ def _axis_transfer(n: int, spacing: float) -> np.ndarray:
     return np.fft.fft(_UNIT_1D.density(offsets)).real * spacing
 
 
-class _Tables(NamedTuple):
-    """A grid's read-only tables: the blur's transfer function (rfftn layout),
-    |u|^2 / 2 (fftfreq layout) and a view of its rfftn layout, and how many
-    full-layout bins each rfft bin of the last axis stands for."""
-
-    transfer: np.ndarray
-    log_amplification: np.ndarray
-    half_log_amplification: np.ndarray
-    multiplicity: np.ndarray
-
-
 @functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
-def _tables(shape, spacing) -> _Tables:
-    """The cached tables of a ``(shape, spacing)`` grid.  Rfft bin k of a
-    length-n axis stands for k and n - k, which coincide when 2k = 0 (mod n)."""
-    log_amp = _outer([(2.0 * np.pi * np.fft.fftfreq(n, d=s)) ** 2
-                      for n, s in zip(shape, spacing)], np.add)
-    log_amp /= 2.0
+def _transfer(shape, spacing) -> np.ndarray:
+    """The blur's transfer function on a ``(shape, spacing)`` grid, in the
+    rfftn half layout, cached and read-only."""
+    parts = [_axis_transfer(n, s) for n, s in zip(shape, spacing)]
+    parts[-1] = parts[-1][: shape[-1] // 2 + 1]
+    transfer = _outer(parts, np.multiply)
+    transfer.setflags(write=False)
+    return transfer
+
+
+def _half_log_amplification(shape, spacing) -> tuple[np.ndarray, np.ndarray]:
+    """|u|^2 / 2 on a ``(shape, spacing)`` grid in the rfftn half layout, and
+    how many full-layout bins each rfft bin of the last axis stands for.  Rfft
+    bin k of a length-n axis stands for k and n - k, which coincide when
+    2k = 0 (mod n).  Built afresh for each plan, never cached."""
     k = np.arange(shape[-1] // 2 + 1)
-    transfer = [_axis_transfer(n, s) for n, s in zip(shape, spacing)]
-    transfer[-1] = transfer[-1][: k.size]
-    tables = _Tables(_outer(transfer, np.multiply), log_amp, log_amp[..., : k.size],
-                     np.where(2 * k % shape[-1] == 0, 1, 2))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    squares = [(2.0 * np.pi * np.fft.fftfreq(n, d=s)) ** 2 for n, s in zip(shape, spacing)]
+    squares[-1] = squares[-1][: k.size]
+    log_amp = _outer(squares, np.add)
+    log_amp /= 2.0
+    return log_amp, np.where(2 * k % shape[-1] == 0, 1, 2)
 
 
 def kernel_spectrum(spec: GaussianKernelSpec, like: GridSignal) -> np.ndarray:
@@ -445,25 +440,26 @@ def blur(f: GridSignal) -> GridSignal:
     if f.dimension == 2:
         top = _padding(f, KERNEL_REACH)[0][0]
         rows = (top, top + f.shape[0])
-    return _filtered(padded, _tables(padded.shape, padded.spacing).transfer, rows)
+    return _filtered(padded, _transfer(padded.shape, padded.spacing), rows)
 
 
 @dataclass(frozen=True)
 class SpectrumDiagnostics:
     """Amplification bookkeeping for one deblur run.
 
-    ``log_amplification`` holds ``|u|^2 / 2`` per frequency bin; the
-    analytic amplifier is its exponential.  ``noise_gain_log`` is the log
-    of the factor mapping white per-sample noise of unit standard
-    deviation to the expected L2 error of the reconstruction, over the
-    bins that were actually applied.  Error fields are filled in by
-    :func:`noise_blowup_experiment`.
+    ``max_log_amplification`` is the largest ``|u|^2 / 2`` over the bins
+    that were applied; the analytic amplifier multiplies a bin by
+    exp(|u|^2 / 2).  ``noise_gain_log`` is the log of the factor mapping white
+    per-sample noise of unit standard deviation to the expected L2 error
+    of the reconstruction, over the bins that were actually applied.
+    ``applied_bins`` and ``suppressed_bins`` count full-layout bins and sum
+    to the grid's size.  Error fields are filled in by
+    :func:`noise_blowup_experiment`.  Every field is a scalar.
     """
 
     method: str
     band_limit: float | None
     reciprocal_floor: float | None
-    log_amplification: np.ndarray
     max_log_amplification: float
     noise_gain_log: float | None
     applied_bins: int
@@ -474,11 +470,6 @@ class SpectrumDiagnostics:
     noise_error: float | None = None
     baseline_error: float | None = None
     ratio: float | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.log_amplification, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "log_amplification", arr)
 
 
 def _logsumexp(values: np.ndarray, weights: np.ndarray) -> float:
@@ -520,11 +511,13 @@ def _deblur_plan(g: GridSignal, method: str, band_limit: float | None,
 def _grid_plan(shape, spacing, method: str, band_limit: float | None,
                reciprocal_floor: float | None) -> tuple[np.ndarray, SpectrumDiagnostics]:
     """The cached plan of a checked deblur on a ``(shape, spacing)`` grid; a
-    refusal of the grid is raised, never cached.  The multiplier is
-    read-only and cropped to the half-layout columns up to the last one
+    refusal of the grid is raised, never cached.  It reads the grid's cached
+    transfer function and builds its own |u|^2 / 2.  The multiplier is
+    read-only and made only on the half-layout columns up to the last one
     that holds an applied bin, which :func:`_filtered` reads as zero past
     its width."""
-    transfer, full_log_amp, log_amp, multiplicity = _tables(shape, spacing)
+    transfer = _transfer(shape, spacing)
+    log_amp, multiplicity = _half_log_amplification(shape, spacing)
     try:
         edge = (math.inf if band_limit is None else band_limit) ** 2 / 2.0
     except OverflowError:  # a band limit past 1.3e154 bounds no bin
@@ -541,15 +534,16 @@ def _grid_plan(shape, spacing, method: str, band_limit: float | None,
         else:
             mask &= magnitude >= reciprocal_floor
             floor_used = reciprocal_floor
-        multiplier = np.divide(1.0, transfer, out=np.zeros_like(transfer), where=mask)
+        source, apply = transfer, functools.partial(np.divide, 1.0)
         gain = -np.log(magnitude[mask])
     else:
         mask &= log_amp < OVERFLOW_LOG
         floor_used = None
-        multiplier = np.exp(log_amp, out=np.zeros_like(log_amp), where=mask)
+        source, apply = log_amp, np.exp
         gain = log_amp[mask]
     columns = np.flatnonzero(mask.reshape(-1, mask.shape[-1]).any(axis=0))
-    multiplier = multiplier[..., : columns[-1] + 1 if columns.size else 0].copy()
+    kept = mask[..., : columns[-1] + 1 if columns.size else 0]
+    multiplier = apply(source[..., : kept.shape[-1]], out=np.zeros(kept.shape), where=kept)
     counts = np.broadcast_to(multiplicity, mask.shape)[mask]
     applied = int(counts.sum())
     if applied:
@@ -563,11 +557,10 @@ def _grid_plan(shape, spacing, method: str, band_limit: float | None,
         method=method,
         band_limit=band_limit,
         reciprocal_floor=floor_used,
-        log_amplification=full_log_amp,
         max_log_amplification=max_log,
         noise_gain_log=noise_gain_log,
         applied_bins=applied,
-        suppressed_bins=full_log_amp.size - applied,
+        suppressed_bins=math.prod(shape) - applied,
     )
     multiplier.setflags(write=False)
     return multiplier, diagnostics

@@ -110,7 +110,6 @@ def naive_deblur(g: GridSignal, method: str, band_limit=None,
         gain_bins = log_amp[mask]
     cell = float(np.prod(g.spacing))
     diagnostics = {
-        "log_amplification": log_amp,
         "noise_gain_log": (0.5 * (math.log(cell) + _logsumexp(2.0 * gain_bins))
                            if mask.any() else None),
         "max_log_amplification": float(np.max(log_amp[mask])) if mask.any() else 0.0,

@@ -20,6 +20,7 @@ from deconv import (
     NonFiniteResult,
     ParameterOutOfRange,
     ReciprocalUnderflow,
+    SpectrumDiagnostics,
     blur,
     gaussian,
     kernel_spectrum,
@@ -27,7 +28,12 @@ from deconv import (
     noise_blowup_experiment,
     padded_for_blur,
 )
-from deconv.gaussian import DEBLUR_METHODS, KERNEL_REACH, TABLE_CACHE_GRIDS
+from deconv.gaussian import (
+    DEBLUR_METHODS,
+    DEFAULT_RECIPROCAL_FLOOR,
+    KERNEL_REACH,
+    TABLE_CACHE_GRIDS,
+)
 
 SPACINGS = (0.1, 0.25, 0.4, 0.5)
 EPS = float(np.finfo(float).eps)
@@ -96,7 +102,6 @@ def _deblur_matches(g, method, band_limit, peak, amplified=False, reciprocal_flo
     assert diag.applied_bins == want["applied_bins"]
     assert diag.suppressed_bins == want["suppressed_bins"]
     assert diag.max_log_amplification == want["max_log_amplification"]
-    assert np.array_equal(diag.log_amplification, want["log_amplification"])
     if want["noise_gain_log"] is None:
         assert diag.noise_gain_log is None
     else:
@@ -360,7 +365,7 @@ def padded_blurs(draw):
 @given(padded_blurs())
 def test_blur_gives_the_bytes_of_the_full_filter_step_on_its_padded_grid(f):
     padded = padded_for_blur(f)
-    transfer = gaussian._tables(padded.shape, padded.spacing).transfer
+    transfer = gaussian._transfer(padded.shape, padded.spacing)
     assert _outcome(blur, f) == _outcome(oracle.filtered, padded, transfer)
 
 
@@ -374,7 +379,7 @@ def test_a_blurred_lone_spike_keeps_the_signed_zeros_of_the_full_filter_step(sha
     values.flat[index] = spike
     f = GridSignal(values, spacing, 0.0)
     padded = padded_for_blur(f)
-    want = oracle.filtered(padded, gaussian._tables(padded.shape, padded.spacing).transfer)
+    want = oracle.filtered(padded, gaussian._transfer(padded.shape, padded.spacing))
     assert blur(f).values.tobytes() == want.values.tobytes()
 
 
@@ -391,7 +396,7 @@ def test_the_zero_row_spectrum_is_the_rfft_of_zeros_and_read_only():
 # interval: a buffer that two steps shared would mix their spectra.
 def test_threads_filtering_on_one_grid_give_the_bytes_of_serial_steps():
     rng = np.random.default_rng(9)
-    table = gaussian._tables((96, 80), (0.25, 0.25)).transfer
+    table = gaussian._transfer((96, 80), (0.25, 0.25))
     signals = [GridSignal(rng.standard_normal((96, 80)), 0.25, 0.0) for _ in range(4)]
     want = [gaussian._filtered(f, table).values.tobytes() for f in signals]
     steps = []
@@ -464,7 +469,6 @@ def test_cold_and_warm_tables_give_the_same_bytes_and_match_the_oracle(shape, sp
     for method, band_limit in (("discrete-reciprocal", None), ("analytic-amplifier", 4.0)):
         _deblur_matches(blurred, method, band_limit, _peak(f), amplified=True)
     _, want = oracle.naive_deblur(blurred, "analytic-amplifier", band_limit=4.0)
-    assert np.array_equal(noise_diag.log_amplification, want["log_amplification"])
     assert noise_diag.applied_bins == want["applied_bins"]
 
 
@@ -472,7 +476,7 @@ def test_a_blur_both_deblurs_and_a_noise_run_on_one_grid_build_one_table_set():
     f = _smooth((200,), (0.1,))
     _clear_tables()
     _pipeline(f)
-    info = gaussian._tables.cache_info()
+    info = gaussian._transfer.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     # a reciprocal plan and one analytic plan at band 4, which the noise run reuses
     info = gaussian._grid_plan.cache_info()
@@ -485,25 +489,26 @@ def test_grids_of_one_shape_and_different_spacings_get_their_own_tables():
     spec = GaussianKernelSpec(1)
     likes = [GridSignal(np.zeros(64), s, 0.0) for s in (0.25, 0.4, 0.25, 0.4)]
     spectra = [kernel_spectrum(spec, like) for like in likes]
-    amps = [naive_deblur(like, "analytic-amplifier")[1].log_amplification for like in likes]
+    diags = [naive_deblur(like, "discrete-reciprocal")[1] for like in likes]
+    transfers = [gaussian._transfer(like.shape, like.spacing) for like in likes]
     assert not np.array_equal(spectra[0], spectra[1])
-    assert not np.array_equal(amps[0], amps[1])
-    for like, spectrum, amp in zip(likes, spectra, amps):
-        assert float(np.max(np.abs(spectrum - oracle.kernel_spectrum(spec, like)))) <= 1e-14
-        assert np.array_equal(amp, oracle.naive_deblur(like, "analytic-amplifier")[1]
-                              ["log_amplification"])
+    assert not np.array_equal(transfers[0], transfers[1])
+    assert diags[0].noise_gain_log != diags[1].noise_gain_log
+    for like, spectrum, diag, transfer in zip(likes, spectra, diags, transfers):
+        want = oracle.kernel_spectrum(spec, like)
+        assert float(np.max(np.abs(spectrum - want))) <= 1e-14
+        assert float(np.max(np.abs(transfer - want[: transfer.size].real))) <= 1e-14
+        _, want_diag = oracle.naive_deblur(like, "discrete-reciprocal")
+        assert diag.applied_bins == want_diag["applied_bins"]
+        assert diag.max_log_amplification == want_diag["max_log_amplification"]
 
 
 def test_cached_tables_refuse_writes_and_kernel_spectrum_returns_a_copy():
     f = _smooth((200,), (0.1,))
     before = blur(f)
     padded = padded_for_blur(f)
-    _, diag = naive_deblur(before, "analytic-amplifier", band_limit=4.0)
     with pytest.raises(ValueError):
-        diag.log_amplification[0] = 1.0
-    for table in gaussian._tables(padded.shape, padded.spacing):
-        with pytest.raises(ValueError):
-            table[0] = 1.0
+        gaussian._transfer(padded.shape, padded.spacing)[0] = 1.0
     for method in DEBLUR_METHODS:
         multiplier, _ = gaussian._deblur_plan(before, method, 4.0, None)
         with pytest.raises(ValueError):
@@ -582,8 +587,40 @@ def test_a_plan_multiplier_is_read_only_and_ends_at_its_last_applied_column(key)
     assert multiplier.shape[:-1] == half[:-1] and width <= half[-1]
     assert not multiplier.flags.writeable and multiplier.flags.c_contiguous
     assert width == 0 or multiplier[..., -1].any()
-    multiplicity = gaussian._tables(shape, spacing).multiplicity[:width]
+    multiplicity = gaussian._half_log_amplification(shape, spacing)[1][:width]
     assert int(np.sum((multiplier != 0) * multiplicity)) == diag.applied_bins
+
+
+def _arrays(value):
+    """Every array in a plan, its diagnostics' fields included."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+# A plan's diagnostics once carried its grid's full-layout |u|^2 / 2, which
+# kept that array alive in the plan cache after the grid's tables were evicted.
+def test_cached_plans_hold_only_their_cropped_multipliers():
+    assert not any("ndarray" in str(f.type) for f in dataclasses.fields(SpectrumDiagnostics))
+    keys = [((512, 512), (0.1, 0.1)), ((64,), (0.25,)), ((24, 27), (0.5, 0.5))]
+    assert len(keys) == TABLE_CACHE_GRIDS + 1
+    _clear_tables()
+    for shape, spacing in keys:
+        gaussian._deblur_plan(GridSignal(np.zeros(shape), spacing, 0.0), "discrete-reciprocal",
+                              None, DEFAULT_RECIPROCAL_FLOOR)
+    assert gaussian._transfer.cache_info().currsize <= TABLE_CACHE_GRIDS
+    misses = gaussian._grid_plan.cache_info().misses
+    plans = [gaussian._grid_plan(shape, spacing, "discrete-reciprocal", None,
+                                 DEFAULT_RECIPROCAL_FLOOR) for shape, spacing in keys]
+    assert gaussian._grid_plan.cache_info().misses == misses  # every plan is the cached one
+    for multiplier, diag in plans:
+        arrays = _arrays((multiplier, diag))
+        assert len(arrays) == 1 and arrays[0] is multiplier and multiplier.base is None
+    assert plans[0][0].nbytes == 204_800
 
 
 @pytest.mark.parametrize("method, band_limit, width", [
@@ -627,12 +664,15 @@ def test_a_refused_plan_is_refused_again_on_an_identical_call(g, method, band_li
 def test_log_amplification_is_the_oracle_norm_halved(grid):
     shape, spacing = grid
     full = oracle._freq_norm_sq(shape, spacing) / 2.0
-    half = full[..., : shape[-1] // 2 + 1]
-    tables = gaussian._tables(shape, spacing)
-    for table, want in ((tables.log_amplification, full),
-                        (tables.half_log_amplification, half)):
-        assert table.dtype == want.dtype and table.shape == want.shape
-        assert table.tobytes() == want.tobytes()
+    k = np.arange(shape[-1] // 2 + 1)
+    half = full[..., k]
+    log_amp, multiplicity = gaussian._half_log_amplification(shape, spacing)
+    assert log_amp.dtype == half.dtype and log_amp.shape == half.shape
+    assert log_amp.tobytes() == half.tobytes()
+    # rfft bin k stands for the full-layout bins k and n - k, which hold its bytes
+    mirror = (-k) % shape[-1]
+    assert full[..., mirror].tobytes() == half.tobytes()
+    assert multiplicity.tolist() == [len({a, b}) for a, b in zip(k, mirror)]
 
 
 # The noise experiment plans its amplifier once and filters the clean blur
