@@ -20,6 +20,10 @@ for d in {1, 2}:
   array, evaluated by Horner's rule, ``_horner``, on one packed integer
   while its slots are narrow (Kronecker substitution) and on the array
   otherwise;
+* exact values become ``Fraction``s through one helper, ``_fractions``: one
+  gcd per distinct numerator, each value built already reduced; a measure
+  keeps its array, built once (or handed over by the array it came from)
+  and read-only;
 * an exact product of two such arrays runs on int64 while its bound,
   ``max|a| sum|b|``, stays below 2^62 (FLINT's ``fmpz`` keeps a machine
   word up to that size too), and on the object arrays past it;
@@ -150,6 +154,23 @@ def _common_scale(weights, mode: str) -> tuple[np.ndarray, int]:
     return np.array([w.numerator * (den // w.denominator) for w in weights], dtype=object), den
 
 
+def _fractions(nums, den: int) -> list[Fraction]:
+    """``Fraction(n, den)`` for each int n of ``nums``, over a positive ``den``.
+
+    Each distinct numerator costs one gcd, and equal numerators share one
+    (immutable) ``Fraction``.  Each value is built already reduced, as
+    CPython 3.12's ``Fraction._from_coprime_ints`` builds one, so the
+    constructor's own gcd is not paid again.
+    """
+    made = {}
+    for n in nums:
+        if n not in made:
+            g = math.gcd(n, den)
+            made[n] = q = object.__new__(Fraction)
+            q._numerator, q._denominator = n // g, den // g
+    return [made[n] for n in nums]
+
+
 def _dense_box(cells: int, products: int) -> bool:
     """Whether a product box gets an array over all its cells.
 
@@ -230,7 +251,10 @@ class _Dense:
     :meth:`minus`, :meth:`on_box`) keep that layout, so a chain of them, such
     as ``onesided.reconstruct``'s blur, unblur and spill, adds and multiplies
     integers; exact ``Fraction``s are formed once, by :meth:`measure` or
-    :meth:`signal`.  An exact product runs on int64 while the numbers fit
+    :meth:`signal`, through :func:`_fractions`.  A measure keeps its array:
+    :meth:`of` builds it once, read-only, and :meth:`measure` hands its result
+    the array :meth:`of` would build, so no measure the library makes is read
+    back into an array.  An exact product runs on int64 while the numbers fit
     (:func:`_int64_product` states the bound) and on the object arrays past
     it; a float one is always :func:`_shifted_sum`, whose order fixes its
     bytes.  A series may run on one packed int instead (see :func:`_horner`
@@ -245,21 +269,26 @@ class _Dense:
 
     @classmethod
     def of(cls, value: Union["AtomicMeasure", GridSignal]) -> "_Dense":
-        """A measure on the box of its atoms (a zero one on the origin), or a
-        lattice signal on its grid."""
+        """A measure on the box of its atoms (a zero one on the origin), built
+        once per measure and read-only, or a lattice signal on its grid."""
         if isinstance(value, GridSignal):
             nums, den = _common_scale(value.values.ravel(), value.mode)
             return cls(value.lattice_origin(), nums.reshape(value.shape), den)
+        if value._dense is not None:
+            return value._dense
         if value.is_zero:
             dtype = object if value.mode == EXACT else np.float64
-            return cls((0,) * value.dimension, np.zeros((1,) * value.dimension, dtype), 1)
-        points, weights = zip(*value.atoms.items())
-        axes = tuple(zip(*points))
-        lo = tuple(map(min, axes))
-        nums, den = _common_scale(weights, value.mode)
-        box = np.zeros(tuple(max(a) - l + 1 for a, l in zip(axes, lo)), nums.dtype)
-        box[tuple([c - low for c in axis] for axis, low in zip(axes, lo))] = nums
-        return cls(lo, box, den)
+            lo, box, den = (0,) * value.dimension, np.zeros((1,) * value.dimension, dtype), 1
+        else:
+            points, weights = zip(*value.atoms.items())
+            axes = tuple(zip(*points))
+            lo = tuple(map(min, axes))
+            nums, den = _common_scale(weights, value.mode)
+            box = np.zeros(tuple(max(a) - l + 1 for a, l in zip(axes, lo)), nums.dtype)
+            box[tuple([c - low for c in axis] for axis, low in zip(axes, lo))] = nums
+        box.setflags(write=False)
+        value._dense = cls(lo, box, den)
+        return value._dense
 
     def convolve(self, other: "_Dense") -> "_Dense":
         nums = _int64_product(self.nums, other.nums) if self.nums.dtype == object else None
@@ -269,9 +298,10 @@ class _Dense:
                       self.den * other.den)
 
     def add_unit(self, c: int) -> "_Dense":
-        """``c delta_0`` added in place, as one integer add; the box must hold the origin."""
-        self.nums[tuple(-low for low in self.lo)] += c * self.den
-        return self
+        """A copy with ``c delta_0`` added, as one integer add; the box must hold the origin."""
+        nums = self.nums.copy()
+        nums[tuple(-low for low in self.lo)] += c * self.den
+        return _Dense(self.lo, nums, self.den)
 
     def on_box(self, lo: Point, shape) -> "_Dense":
         """This value on the box of ``shape`` from ``lo``: zero where it has no
@@ -291,18 +321,34 @@ class _Dense:
         return _Dense(lo, nums, den)
 
     def measure(self, like: "AtomicMeasure", scale=1) -> "AtomicMeasure":
-        """``scale`` (nonzero) times this exact value, as a measure of ``like``'s dimension."""
+        """``scale`` (nonzero) times this exact value, as a measure of ``like``'s dimension.
+
+        The measure keeps the array :meth:`of` would build for it: its atoms'
+        box, with the numerators and the denominator divided by
+        ``gcd(den, *nums)``, which leaves the lcm of the reduced denominators.
+        """
         num, den = scale.as_integer_ratio()
+        cells = np.nonzero(self.nums)
+        if not cells[0].size:
+            return like._with_atoms({})
+        corner = [int(c.min()) for c in cells]
+        box = self.nums[tuple(slice(a, int(c.max()) + 1) for a, c in zip(corner, cells))] * num
         den *= self.den
-        points, nums = _nonzero(self.nums, self.lo)
-        return like._with_atoms({p: Fraction(n * num, den) for p, n in zip(points, nums.tolist())},
-                                nonzero=True)
+        common = math.gcd(den, *box.ravel().tolist())
+        box //= common
+        box.setflags(write=False)
+        lo = tuple(low + a for low, a in zip(self.lo, corner))
+        points, nums = _nonzero(box, lo)
+        out = like._with_atoms(dict(zip(points, _fractions(nums.tolist(), den // common))),
+                               nonzero=True)
+        out._dense = _Dense(lo, box, den // common)
+        return out
 
     def signal(self, like: GridSignal) -> GridSignal:
         """This value as a signal on the grid from ``lo`` with ``like``'s spacing and mode."""
         out = self.nums
         if like.mode == EXACT:
-            out = np.array([Fraction(n, self.den) for n in out.ravel().tolist()],
+            out = np.array(_fractions(out.ravel().tolist(), self.den),
                            dtype=object).reshape(out.shape)
         return GridSignal._own(out, like.spacing, tuple(map(float, self.lo)))
 
@@ -329,7 +375,7 @@ def _horner(x: _Dense, coeffs) -> _Dense:
     for c in reversed(coeffs[:-1]):
         value = value.convolve(x)
         if c:
-            value.add_unit(c)
+            value = value.add_unit(c)
     return value
 
 
@@ -344,7 +390,8 @@ def _packed_horner(x: _Dense, coeffs, slot_bytes: int) -> _Dense:
     ``(value * v) << shift`` per nonzero cell of x (one product per distinct
     numerator v) and one shifted add at the origin.  The int is unpacked
     once: ``2^(w-1)`` added to every slot makes each one nonnegative, so one
-    ``to_bytes`` splits it into slots.
+    ``to_bytes`` splits it into slots, which numpy reads as ``<u8`` while they
+    are narrower than 8 bytes (at 8, ``2^(w-1)`` is past int64).
     """
     n = len(coeffs) - 1
     shape = tuple(n * (m - 1) + 1 for m in x.nums.shape)
@@ -369,10 +416,14 @@ def _packed_horner(x: _Dense, coeffs, slot_bytes: int) -> _Dense:
     half = 1 << bits - 1
     raw = (value + int.from_bytes((bytes(slot_bytes - 1) + b"\x80") * size, "little")
            ).to_bytes(slot_bytes * size, "little")
-    nums = [int.from_bytes(raw[i:i + slot_bytes], "little") - half
-            for i in range(0, len(raw), slot_bytes)]
-    return _Dense(tuple(n * low for low in x.lo),
-                  np.array(nums, dtype=object).reshape(shape), den)
+    if slot_bytes < 8:
+        wide = np.zeros((size, 8), np.uint8)
+        wide[:, :slot_bytes] = np.frombuffer(raw, np.uint8).reshape(size, slot_bytes)
+        nums = (wide.view("<u8").astype(np.int64) - half).astype(object)
+    else:
+        nums = np.array([int.from_bytes(raw[i:i + slot_bytes], "little") - half
+                         for i in range(0, len(raw), slot_bytes)], dtype=object)
+    return _Dense(tuple(n * low for low in x.lo), nums.reshape(shape), den)
 
 
 def _dense_powers(m: "AtomicMeasure") -> bool:
@@ -398,7 +449,7 @@ class AtomicMeasure:
     to share a dimension and an arithmetic mode.
     """
 
-    __slots__ = ("_dimension", "_mode", "_atoms")
+    __slots__ = ("_dimension", "_mode", "_atoms", "_dense")
 
     def __init__(self, dimension: int, atoms=None, mode: str = EXACT):
         if dimension not in (1, 2):
@@ -410,6 +461,7 @@ class AtomicMeasure:
         self._dimension = dimension
         self._mode = mode
         self._atoms = _pruned(_summed(*zip(*pairs)), mode) if pairs else {}
+        self._dense = None  # its _Dense array, built on first use
 
     # --- queries ---------------------------------------------------------
 
@@ -552,8 +604,7 @@ class AtomicMeasure:
         points = _cell_points(keys[hit], lo, strides)
         weights = sums[hit].tolist()
         if self._mode == EXACT:
-            den = da * db
-            weights = [Fraction(n, den) for n in weights]
+            weights = _fractions(weights, da * db)
         return self._with_atoms(dict(zip(points, weights)), nonzero=True)
 
     def power(self, n: int) -> "AtomicMeasure":
@@ -595,6 +646,7 @@ def _checked(dimension: int, mode: str, store: dict, nonzero: bool = False) -> A
     out._dimension = dimension
     out._mode = mode
     out._atoms = _finite(store, mode) if nonzero else _pruned(store, mode)
+    out._dense = None
     return out
 
 

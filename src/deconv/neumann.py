@@ -38,7 +38,6 @@ from .measures import (
     _residual,
     apply_to_signal,
     coerce_weight,
-    dirac,
     from_atoms,
 )
 
@@ -152,7 +151,7 @@ def _dense_series(mu: AtomicMeasure, kernel: AtomicMeasure, n: int,
     values over their denominator.  Only the three results become ``Fraction``s.
     """
     kern = _Dense.of(kernel)
-    nu = _horner(_Dense.of(kernel).add_unit(-1), [(-1) ** k for k in range(n + 1)])
+    nu = _horner(kern.add_unit(-1), [(-1) ** k for k in range(n + 1)])
     residual = nu.convolve(kern).add_unit(-1)
     norm = Fraction(sum(map(abs, residual.nums.ravel().tolist())), residual.den)
     return nu.measure(mu, scale), residual.measure(mu), norm
@@ -164,7 +163,9 @@ def factor_at_origin(kernel: AtomicMeasure) -> tuple[Fraction | float, AtomicMea
     center = kernel.atoms.get(origin)
     if center is None:
         raise UnsupportedKernel("series inversion needs a kernel with weight at the origin")
-    return center, (kernel - dirac(origin, center, mode=kernel.mode)).scale(1 / center)
+    inverse = 1 / center  # w * (1 / c), not w / c: a float mu keeps its bytes
+    return center, kernel._with_atoms({p: w * inverse for p, w in kernel.atoms.items()
+                                       if p != origin})
 
 
 def neumann(kernel: AtomicMeasure, config: NeumannConfig) -> tuple[AtomicMeasure, NeumannReport]:

@@ -25,6 +25,7 @@ that boundary, computed by carrying out the convolution.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .measures import (
     _check_applicable,
     _checked,
     _Dense,
+    _fractions,
     _residual,
     apply_to_signal,
     coerce_weight,
@@ -71,16 +73,24 @@ def pair_kernel(step: int, *, mode: str = EXACT) -> AtomicMeasure:
     return from_atoms({0: 1, step: 1}, mode=mode)
 
 
+@functools.cache
+def _shared(atoms: tuple, mode: str) -> AtomicMeasure:
+    """The measure on these (point, weight) pairs, built once per mode, so that
+    its ``_Dense`` array is built once too."""
+    return from_atoms(atoms, mode=mode)
+
+
 def binomial_kernel(*, mode: str = EXACT) -> AtomicMeasure:
-    """The smoothing kernel 1/4 delta_{-1} + 1/2 delta_0 + 1/4 delta_1."""
+    """The smoothing kernel 1/4 delta_{-1} + 1/2 delta_0 + 1/4 delta_1, one
+    shared instance per mode."""
     q = Fraction(1, 4)
-    return from_atoms({-1: q, 0: 2 * q, 1: q}, mode=mode)
+    return _shared(((-1, q), (0, 2 * q), (1, q)), mode)
 
 
 def half_pair_kernel(*, mode: str = EXACT) -> AtomicMeasure:
-    """The averaging kernel (delta_0 + delta_1) / 2."""
+    """The averaging kernel (delta_0 + delta_1) / 2, one shared instance per mode."""
     h = Fraction(1, 2)
-    return from_atoms({0: h, 1: h}, mode=mode)
+    return _shared(((0, h), (1, h)), mode)
 
 
 # --- truncated series ------------------------------------------------------
@@ -126,7 +136,8 @@ class TruncatedSeries:
 def _finish(atoms: dict, kernel: AtomicMeasure, window: WindowSpec) -> TruncatedSeries:
     """The series of ``kernel`` on its exact ``atoms``, bounded by their residual
     against the kernel's exact weights; a float series rounds each atom once."""
-    exact = _checked(1, EXACT, {p: Fraction(w) for p, w in kernel.atoms.items()}, nonzero=True)
+    exact = kernel if kernel.mode == EXACT else _checked(
+        1, EXACT, {p: Fraction(w) for p, w in kernel.atoms.items()}, nonzero=True)
     series = _checked(1, EXACT, atoms)
     boundary = tuple(sorted(_residual(exact, series).atoms))
     if kernel.mode != EXACT:
@@ -159,7 +170,8 @@ def _end_series(kernel: AtomicMeasure, side: Side, terms: int, parts: int = 1,
     Power-series division by the end atom on that side, on Python ints: with
     the weight at distance i from that end ``A_i / D`` (FLINT's ``fmpq_poly``
     layout), coefficient k is ``E_k D / A_0^(k+1)``, where ``E_0 = 1`` and
-    ``E_k = -sum_{i>=1} A_i A_0^(i-1) E_{k-i}``."""
+    ``E_k = -sum_{i>=1} A_i A_0^(i-1) E_{k-i}``.  With ``A_0 = +-1`` every atom
+    is over ``parts`` and :func:`measures._fractions` forms them all."""
     lo, hi = _ends(kernel)
     end, step = (lo, 1) if side is Side.RIGHT else (hi, -1)
     ratios = {abs(p - end): w.as_integer_ratio() for (p,), w in kernel.atoms.items()}
@@ -175,9 +187,12 @@ def _end_series(kernel: AtomicMeasure, side: Side, terms: int, parts: int = 1,
                 e -= t * coeffs[k - i]
         coeffs.append(e)
         if k >= skip:
-            atoms[(step * k - end,)] = Fraction(e * den, power)
+            atoms[(step * k - end,)] = e * den, power
         power *= a0
-    return atoms
+    if abs(a0) == 1:  # every atom is over +-parts
+        return dict(zip(atoms, _fractions([n * (d // parts) for n, d in atoms.values()], parts)))
+    # over one common denominator, atom k's numerator would grow by A_0^(terms-1-k)
+    return {p: Fraction(n, d) for p, (n, d) in atoms.items()}
 
 
 def series_inverse(kernel: AtomicMeasure, side: Side, terms: int) -> TruncatedSeries:
@@ -358,7 +373,7 @@ def reconstruct(f: GridSignal, kernel: AtomicMeasure,
     points, values = _nonzero(spill.nums, spill.lo)
     if f.mode == EXACT:
         nums = values.tolist()
-        values = [Fraction(n, spill.den) for n in nums]
+        values = _fractions(nums, spill.den)
         max_cont = Fraction(max(map(abs, nums), default=0), spill.den)
     else:
         max_cont = max((abs(v) for v in values), default=0.0)

@@ -375,6 +375,21 @@ def test_packed_horner_matches_the_array_loop(case):
 
 
 @pytest.mark.parametrize("x", [
+    _Dense((-1,), np.array([1, 1], dtype=object), 1),
+    _Dense((0, -1), np.array([[-1, 2], [0, 1]], dtype=object), 3),
+], ids=["1d", "2d"])
+def test_packed_slots_of_every_width_up_to_nine_bytes(x):
+    """Every slot width from the narrowest that holds the series to 9 bytes, so
+    both the numpy read of slots under 8 bytes and ``int.from_bytes`` run, each
+    equal to the array loop."""
+    for n in range(1, 33):
+        coeffs = [(-1) ** k * (k % 5 + 1) for k in range(n + 1)]
+        want = dense_view(horner_on(x, coeffs, 0))
+        for slot_bytes in range(-(-slot_width(x, coeffs) // 8), 10):
+            assert dense_view(measures._packed_horner(x, coeffs, slot_bytes)) == want
+
+
+@pytest.mark.parametrize("x", [
     _Dense((-1,), np.array([3, 0, 5], dtype=object), 7),
     _Dense((-1, 0), np.array([[1, 2], [0, 3], [-2, 1]], dtype=object), 7),
 ], ids=["1d", "2d"])
