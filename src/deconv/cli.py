@@ -213,8 +213,8 @@ def _cmd_deblur(args) -> int:
             return _usage(f"--N is required for method {method}")
         if args.window is None:
             return _usage(f"--window is required for method {method}")
-        g = dio.read_signal_csv(args.input, args.mode)
         lo, hi = args.window
+        g = dio.read_signal_csv(args.input, args.mode, rows=(lo - args.N, hi + args.N))
         kernel = binomial_kernel(mode=args.mode) if method == "binomial" \
             else half_pair_kernel(mode=args.mode)
         out = apply_on_window(g, inverse(kernel, method, args.N), args.window)
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
         return _fail(exc.exit_code, exc)
     except OSError as exc:
         return _fail(2, exc)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         return _fail(4, exc)
 
 

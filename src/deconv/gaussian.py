@@ -205,45 +205,10 @@ def dft_inverse(spectrum: Spectrum) -> GridSignal:
     return GridSignal._own(out.real.copy(), spectrum.spacing, spectrum.origin)
 
 
-def fourier_at(f: GridSignal, u) -> complex:
-    """Direct quadrature evaluation of the transform at one frequency."""
-    _require_float(f)
-    u = (float(u),) if f.dimension == 1 else tuple(float(v) for v in u)
-    if len(u) != f.dimension:
-        raise DimensionMismatch("2D signals need a 2-component frequency")
-    angle = _outer([v * f.axis_coordinates(ax) for ax, v in enumerate(u)], np.add)
-    return complex(np.sum(f.values * np.exp(1j * angle)) * float(np.prod(f.spacing)))
-
-
 def _require_fine(spacing) -> None:
     for s in spacing:
         if s > MAX_KERNEL_SPACING:
             raise GridTooCoarse(f"spacing {s} > {MAX_KERNEL_SPACING} undersamples the kernel")
-
-
-def sample_gaussian(spec: GaussianKernelSpec, shape, spacing, origin=None) -> GridSignal:
-    """Sample the density on a grid covering at least [-6, 6] per axis."""
-    shape = (shape,) if isinstance(shape, int) else tuple(int(n) for n in shape)
-    if len(shape) != spec.dimension:
-        raise DimensionMismatch("grid shape does not match the kernel dimension")
-    if isinstance(spacing, (int, float)):
-        spacing = (float(spacing),) * spec.dimension
-    else:
-        spacing = tuple(float(s) for s in spacing)
-    if origin is None:
-        origin = tuple(-(n - 1) * s / 2.0 for n, s in zip(shape, spacing))
-    else:
-        origin = tuple(float(o) for o in origin)
-    _require_fine(spacing)
-    for ax in range(spec.dimension):
-        hi = origin[ax] + (shape[ax] - 1) * spacing[ax]
-        if origin[ax] > -KERNEL_REACH or hi < KERNEL_REACH:
-            raise GridTooNarrow(
-                f"axis {ax} covers [{origin[ax]}, {hi}]; the kernel needs "
-                f"[-{KERNEL_REACH}, {KERNEL_REACH}]")
-    axes = [o + s * np.arange(n) for n, s, o in zip(shape, spacing, origin)]
-    vals = _outer([_UNIT_1D.density(x) for x in axes], np.multiply)
-    return GridSignal._own(vals, spacing, origin)
 
 
 def _validate_kernel_grid(shape, spacing) -> None:

@@ -226,41 +226,16 @@ class GridSignal:
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacing[axis] * np.arange(self.shape[axis])
 
-    def _zero(self):
-        return Fraction(0) if self.mode == EXACT else 0.0
-
     # --- lattice views -------------------------------------------------
 
     def lattice_dict(self) -> dict[Point, object]:
         """Nonzero samples as a point -> value mapping (lattice signals only)."""
         return dict(zip(*_nonzero(self.values, self.lattice_origin())))
 
-    def value_at(self, point) -> object:
-        """Sample value at a lattice point, zero outside the stored extent."""
-        lo = self.lattice_origin()
-        pt = (point,) if isinstance(point, int) else tuple(point)
-        if len(pt) != self.dimension:
-            raise DimensionMismatch(f"point {pt} is not {self.dimension}D")
-        idx = tuple(int(p) - lo[ax] for ax, p in enumerate(pt))
-        if any(i < 0 or i >= self.shape[ax] for ax, i in enumerate(idx)):
-            return self._zero()
-        return self.values[idx]
-
     def support_radius(self) -> int:
         """Largest absolute coordinate carrying a nonzero sample (0 if none)."""
         points, _ = _nonzero(self.values, self.lattice_origin())
         return max((abs(c) for p in points for c in p), default=0)
-
-    def trim(self) -> "GridSignal":
-        """Shrink the extent to the bounding box of the nonzero samples."""
-        points, _ = _nonzero(self.values, (0,) * self.dimension)
-        if not points:
-            return GridSignal._own(self.values[(slice(0, 1),) * self.dimension],
-                                   self.spacing, self.origin)
-        axes = list(zip(*points))
-        origin = tuple(o + s * min(a) for o, s, a in zip(self.origin, self.spacing, axes))
-        return GridSignal._own(self.values[tuple(slice(min(a), max(a) + 1) for a in axes)],
-                               self.spacing, origin)
 
     def restrict(self, bounds) -> "GridSignal":
         """Dense copy over an explicit lattice window, zero-filled where absent."""
@@ -379,27 +354,6 @@ class GridSignal:
         if self.mode == EXACT:
             return cell * float(sum(self.values.flat, Fraction(0)))
         return cell * float(np.sum(self.values))
-
-    def central_second_moment(self, axis: int = 0) -> float:
-        """Mass-normalized second central moment along one axis (float mode)."""
-        if self.mode != FLOAT:
-            raise ModeMismatch("moments are a float-mode diagnostic")
-        w = np.abs(self.values)
-        total = float(np.sum(w))
-        if total == 0.0:
-            raise ValueError("cannot take moments of the zero signal")
-        x = self.axis_coordinates(axis)
-        shape = [1] * self.dimension
-        shape[axis] = self.shape[axis]
-        x = x.reshape(shape)
-        mean = float(np.sum(w * x)) / total
-        return float(np.sum(w * (x - mean) ** 2)) / total
-
-    def max_abs_diff(self, other: "GridSignal") -> float:
-        return (self - other).max_abs()
-
-    def allclose(self, other: "GridSignal", tol: float = 1e-9) -> bool:
-        return self.max_abs_diff(other) <= tol
 
     def lattice_equal(self, other: "GridSignal") -> bool:
         """Equality of nonzero samples, ignoring zero padding differences."""

@@ -212,28 +212,30 @@ def _check_row(fields, kind: str, mode: str, seen: set) -> None:
     parse_weight(vtok, mode)
 
 
-def read_signal_csv(path, mode: str | None = None) -> GridSignal:
+def read_signal_csv(path, mode: str | None = None, rows=None) -> GridSignal:
+    """A signal CSV.  Every row is parsed and checked; with ``rows=(a, b)`` an
+    index CSV places only its indices in [a, b], or one zero cell at a."""
     lines = list(map(_csv_fields, _text(path).split("\n")))
-    rows = list(filter(None, lines))
-    if not rows:
+    fields = list(filter(None, lines))
+    if not fields:
         raise FormatError("missing header row", path=str(path))
     head = next(n for n, row in enumerate(lines, 1) if row)
     kind = {("index", "value"): "index", ("x", "value"): "x"}.get(
-        tuple(t.strip().lower() for t in rows[0]))
+        tuple(t.strip().lower() for t in fields[0]))
     if kind is None:
-        text = ",".join(rows[0])
+        text = ",".join(fields[0])
         raise FormatError(f"expected header 'index,value' or 'x,value', got {text!r}",
                           line=head, path=str(path))
-    rows = rows[1:]
-    if set(map(len, rows)) - {2}:
+    fields = fields[1:]
+    if set(map(len, fields)) - {2}:
         _refuse_first(path, lines, _check_two_fields, head)
-    if not rows:
+    if not fields:
         raise FormatError("no data rows", path=str(path))
     if kind == "x":
         mode = FLOAT  # samples on a general grid are float in every mode
     elif mode is None:
         mode = EXACT
-    xtoks, vtoks = (list(map(str.strip, column)) for column in zip(*rows))
+    xtoks, vtoks = (list(map(str.strip, column)) for column in zip(*fields))
     try:
         xs = list(map(int if kind == "index" else float, xtoks))
         if kind == "index" and len(set(xs)) < len(xs):
@@ -243,6 +245,10 @@ def read_signal_csv(path, mode: str | None = None) -> GridSignal:
         seen = set()
         _refuse_first(path, lines, lambda row: _check_row(row, kind, mode, seen), head)
     if kind == "index":
+        if rows is not None:
+            a, b = rows
+            kept = [(x, v) for x, v in zip(xs, values) if a <= x <= b]
+            xs, values = zip(*kept) if kept else ((a,), (parse_weight("0", mode),))
         return _on_box(xs, values, mode)
     if len(xs) == 1:
         return GridSignal._own(np.asarray(values), 1.0, xs[0])

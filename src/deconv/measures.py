@@ -686,12 +686,6 @@ class WindowSpec:
         pt = as_point(point, self.dimension)
         return all(lo <= c <= hi for c, (lo, hi) in zip(pt, self.bounds))
 
-    @classmethod
-    def centered(cls, radius: int, dimension: int = 1) -> "WindowSpec":
-        if radius < 0:
-            raise ValueError("window radius must be >= 0")
-        return cls(((-radius, radius),) * dimension)
-
     def __str__(self) -> str:
         return "x".join(f"[{lo},{hi}]" for lo, hi in self.bounds)
 

@@ -8,7 +8,7 @@ its own working out.  Results are built by the public constructor, as they
 were then.
 
 The per-item loops below them are the bodies ``from_lattice_dict``,
-``lattice_dict``, ``support_radius`` and ``trim`` ran, and the loop of the
+``lattice_dict`` and ``support_radius`` ran, and the loop of the
 ``AtomicMeasure`` constructor, before each lattice rule got one helper in
 ``grids``: ``_summed`` for repeated points, ``_on_box`` for placing values
 on the box of their points, and ``_nonzero`` for reading nonzero cells.
@@ -126,23 +126,6 @@ def support_radius(self: GridSignal) -> int:
     if not d:
         return 0
     return max(abs(c) for p in d for c in p)
-
-
-def trim(self: GridSignal) -> GridSignal:
-    mask = _nonzero_mask(self)
-    if not mask.any():
-        idx = tuple(slice(0, 1) for _ in range(self.dimension))
-        return GridSignal(self.values[idx], self.spacing, self.origin)
-    slices = []
-    new_origin = []
-    for ax in range(self.dimension):
-        other = tuple(a for a in range(self.dimension) if a != ax)
-        line = mask.any(axis=other) if other else mask
-        hits = np.flatnonzero(line)
-        lo, hi = int(hits[0]), int(hits[-1])
-        slices.append(slice(lo, hi + 1))
-        new_origin.append(self.origin[ax] + self.spacing[ax] * lo)
-    return GridSignal(self.values[tuple(slices)], self.spacing, tuple(new_origin))
 
 
 def from_lattice_dict(data, dimension=None, mode=EXACT) -> GridSignal:

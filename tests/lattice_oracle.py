@@ -95,7 +95,8 @@ def reconstruct(f: GridSignal, kernel: AtomicMeasure, inverse):
     restricted = full.restrict((-s, s))
     spill = (full - f).lattice_dict()
     contamination = tuple(sorted(spill.items()))
-    max_cont = max((abs(v) for v in spill.values()), default=f._zero())
+    zero = Fraction(0) if f.mode == EXACT else 0.0
+    max_cont = max((abs(v) for v in spill.values()), default=zero)
     report = MarginReport(
         support_radius=s,
         halfwidth=inverse.halfwidth,

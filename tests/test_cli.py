@@ -1,4 +1,6 @@
 """End-to-end behavior of the command line interface."""
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deconv
 from deconv import (
@@ -399,6 +403,62 @@ def test_deblur_metrics_without_reference_writes_nothing(tmp_path):
     assert main(["deblur", str(g), "-o", str(out), "--method", "binomial",
                  "--N", "7", "--window", "-3:3", "--metrics", str(metrics)]) == 2
     assert not out.exists() and not metrics.exists()
+
+
+def _deblur_in_process(folder, name, text, argv):
+    """Exit code, stdout, stderr and output body of ``deblur`` on a CSV of ``text``."""
+    (folder / name).write_text(text)
+    out = folder / f"{name}.out.csv"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["deblur", str(folder / name), "-o", str(out), *argv])
+    return code, stdout.getvalue(), stderr.getvalue(), out.exists() and _rows(out)
+
+
+FAR_INDICES = st.one_of(st.integers(-2 ** 63, -2 ** 62), st.integers(2 ** 62, 2 ** 63 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from([EXACT, "float"]), method=st.sampled_from(["binomial", "halfpair"]),
+       n=st.integers(1, 12), lo=st.integers(-6, 6), width=st.integers(0, 4),
+       start=st.integers(-12, 12), values=st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+       far=st.lists(st.tuples(FAR_INDICES, st.integers(-9, 9), st.booleans()),
+                    min_size=1, max_size=3, unique_by=lambda row: row[0]))
+def test_series_deblur_ignores_rows_past_its_reach(tmp_path_factory, mode, method, n, lo, width,
+                                                   start, values, far):
+    # the rows a window needs lie within N of it; rows at |i| >= 2^62 change
+    # no byte and no exit code, and are never placed on the box they span
+    folder = tmp_path_factory.mktemp("far")
+    near = [f"{i},{v}" for i, v in enumerate(values, start)]
+    before = [f"{i},{v}" for i, v, first in far if first]
+    after = [f"{i},{v}" for i, v, first in far if not first]
+    argv = ["--method", method, "--N", str(n), "--window", f"{lo}:{lo + width}", "--mode", mode]
+    compact = _deblur_in_process(folder, "compact.csv", "\n".join(["index,value", *near]), argv)
+    spread = _deblur_in_process(folder, "spread.csv",
+                                "\n".join(["index,value", *before, *near, *after]), argv)
+    assert spread == compact
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_an_allocation_past_the_address_limit_exits_4(tmp_path):
+    # vancittert places the whole span of an index CSV: 10^12 + 1 object cells.
+    # The child bounds its own address space to 2 GiB, so the allocation fails
+    # whatever the host's overcommit setting; one BLAS thread keeps numpy's
+    # import well inside that bound on a machine with many cores.
+    (tmp_path / "span.csv").write_text("index,value\n0,1\n1000000000000,2\n")
+    code = ("import resource, runpy\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, hard))\n"
+            "runpy.run_module('deconv.cli', run_name='__main__', alter_sys=True)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deconv.__file__)))
+    run = subprocess.run([sys.executable, "-c", code, "deblur", "span.csv", "-o", "out.csv",
+                          "--method", "vancittert", "--a", "3/4"], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                         capture_output=True, text=True)
+    assert run.returncode == 4
+    assert run.stderr.startswith("error: Unable to allocate") and "Traceback" not in run.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("mode", [EXACT, "float"])

@@ -5,8 +5,8 @@ the oracle's samples exactly (same dtype, and only ``Fraction``s in exact
 mode), on the same origin and spacing, for 1D and 2D signals in both
 modes, with windows and offsets that overlap fully, partly or not at all.
 
-``from_lattice_dict``, ``lattice_dict``, ``support_radius``, ``trim`` and
-the ``AtomicMeasure`` constructor must give the ``repr`` of the oracle's
+``from_lattice_dict``, ``lattice_dict``, ``support_radius`` and the
+``AtomicMeasure`` constructor must give the ``repr`` of the oracle's
 values, which shows a ``-0.0`` and the type of each value, on the same
 origin and shape, with repeated points, zeros, empty maps and all-zero
 signals among the inputs.
@@ -159,7 +159,7 @@ def test_one_point_named_twice_sums_in_order(mode):
 
 
 @st.composite
-def lattice_signals(draw, dimension, mode, spacing=1.0):
+def lattice_signals(draw, dimension, mode):
     """Signals whose samples are often zero (``-0.0`` in float mode), and
     sometimes all zero."""
     shape = draw(st.tuples(*[st.integers(1, 6)] * dimension))
@@ -168,7 +168,7 @@ def lattice_signals(draw, dimension, mode, spacing=1.0):
     values = draw(st.lists(samples, min_size=count, max_size=count))
     values = np.array(values, dtype=object if mode == EXACT else np.float64).reshape(shape)
     origin = draw(st.tuples(*[st.integers(-8, 8)] * dimension))
-    return GridSignal(values, spacing, tuple(spacing * o for o in origin))
+    return GridSignal(values, 1.0, origin)
 
 
 @settings(max_examples=300, deadline=None)
@@ -177,14 +177,6 @@ def test_nonzero_reads_match_oracle(data, dm):
     f = data.draw(lattice_signals(*dm))
     assert repr(f.lattice_dict()) == repr(oracle.lattice_dict(f))
     assert f.support_radius() == oracle.support_radius(f)
-    same_repr(f.trim(), oracle.trim(f))
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), dm=dims_and_modes(), spacing=st.sampled_from((0.25, 3.0)))
-def test_trim_off_the_lattice_matches_oracle(data, dm, spacing):
-    f = data.draw(lattice_signals(*dm, spacing=spacing))
-    same_repr(f.trim(), oracle.trim(f))
 
 
 @settings(max_examples=300, deadline=None)

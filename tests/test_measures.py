@@ -96,7 +96,7 @@ def test_window_spec_normalization():
     w = WindowSpec((-2, 2))
     assert w.bounds == ((-2, 2),)
     assert w.contains(0) and w.contains((-2,)) and not w.contains(3)
-    assert str(WindowSpec.centered(1, 2)) == "[-1,1]x[-1,1]"
+    assert str(WindowSpec(((-1, 1),) * 2)) == "[-1,1]x[-1,1]"
     with pytest.raises(ValueError):
         WindowSpec((3, 1))
 
