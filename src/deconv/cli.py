@@ -18,7 +18,10 @@ verify: inverse confirmed), 1 verify found a residual above tolerance,
 before any command runs) or an unreadable file, and otherwise the
 ``exit_code`` of the ``DeconvError`` that refused the run (2 parse error,
 3 dimension or mode mismatch, 4 violated precondition or a float result
-past float64, 5 insufficient truncation margin).
+past float64, 5 insufficient truncation margin).  A warning the library
+raises during a command, such as Van Cittert's at tv(mu) >= 1, is printed as
+one ``warning: <message>`` line on stderr, whatever the warnings filters
+say, and changes no exit code or output.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import functools
 import os
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -426,7 +430,13 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "output") and (clash := _overwrite(args)):  # verify writes nothing
             return _usage(clash)
-        return globals()[f"_cmd_{args.command}"](args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            try:
+                return globals()[f"_cmd_{args.command}"](args)
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
     except DeconvError as exc:
         return _fail(exc.exit_code, exc)
     except OSError as exc:

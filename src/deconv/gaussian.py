@@ -48,9 +48,7 @@ the analytic amplifier at band 5.  The full passes would have multiplied
 those columns by 0.0, so only the sign of an output zero can differ; two
 fallbacks run the full passes instead, when ``max|g| * g.size`` is past
 ``PRUNE_BOUND`` (2^960, where a skipped value could overflow and 0.0 turn
-it into a refused NaN) and when the pruned output holds an exact zero.  A
-blur skips the rfft of the rows its padding left zero and copies in the
-cached rfft of a zero row, signed zeros and all.
+it into a refused NaN) and when the pruned output holds an exact zero.
 Blur's table is the transfer function of the discrete blur, real because
 the kernel sampled at the wrapped offsets of a grid is even and separable:
 the outer product of one real 1D spectrum per axis.  A deblur's table
@@ -279,14 +277,6 @@ def padded_for_blur(f: GridSignal, margin: float = KERNEL_REACH) -> GridSignal:
     _require_float(f)
     if not 0 <= margin < math.inf:
         raise ParameterOutOfRange("margin must be finite and >= 0")
-    lefts, sizes = _padding(f, margin)
-    origin = tuple(o - left * s for o, left, s in zip(f.origin, lefts, f.spacing))
-    return GridSignal._own(_placed(f.values, lefts, sizes), f.spacing, origin)
-
-
-def _padding(f: GridSignal, margin: float) -> tuple[list[int], list[int]]:
-    """Per axis, the zero samples :func:`padded_for_blur` puts before ``f`` and
-    the padded length."""
     lefts, sizes = [], []
     for ax in range(f.dimension):
         base = math.ceil(margin / f.spacing[ax])
@@ -294,7 +284,8 @@ def _padding(f: GridSignal, margin: float) -> tuple[list[int], list[int]]:
         size = 1 << max(1, (total - 1).bit_length())
         lefts.append(base + (size - total) // 2)
         sizes.append(size)
-    return lefts, sizes
+    origin = tuple(o - left * s for o, left, s in zip(f.origin, lefts, f.spacing))
+    return GridSignal._own(_placed(f.values, lefts, sizes), f.spacing, origin)
 
 
 # Free half-spectrum buffers of _filtered by half shape, least recently used first.
@@ -307,16 +298,7 @@ _SPECTRA_LOCK = threading.Lock()
 PRUNE_BOUND = 2.0 ** 960
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_GRIDS)
-def _zero_row(n: int) -> np.ndarray:
-    """The rfft of ``n`` zeros, signed zeros and all, read-only."""
-    row = np.fft.rfft(np.zeros(n))
-    row.setflags(write=False)
-    return row
-
-
-def _filtered(g: GridSignal, table: np.ndarray,
-              rows: tuple[int, int] | None = None) -> GridSignal:
+def _filtered(g: GridSignal, table: np.ndarray) -> GridSignal:
     """``g`` with its rfftn half spectrum multiplied by ``table``, on ``g``'s grid.
 
     The passes are those of ``rfftn`` and ``irfftn``, in their order: an
@@ -338,10 +320,7 @@ def _filtered(g: GridSignal, table: np.ndarray,
     So the full passes run instead when ``max|g| * g.size`` is past
     :data:`PRUNE_BOUND`, where a skipped value could have been an inf that
     0.0 turns into NaN and the step refused, or run again when the pruned
-    output holds an exact zero.  ``rows``, a ``(start, stop)`` of the
-    leading axis outside which every sample is +0.0 (a blur's padding),
-    limits the rfft to those rows; the others take the cached rfft of a
-    zero row, the bytes the rfft gives them.
+    output holds an exact zero.
 
     The half spectrum is taken from the free buffers of its shape, or made
     when none is free, and put back after the passes; the rfft pass fills
@@ -357,9 +336,9 @@ def _filtered(g: GridSignal, table: np.ndarray,
     prune = (table.shape[-1] < half[-1]
              and max(g.values.max(), -g.values.min()) <= PRUNE_BOUND / g.values.size)
     with np.errstate(over="ignore", invalid="ignore"):  # GridSignal._own refuses inf and NaN
-        values = _passes(g, spectrum, table, rows, prune)
+        values = _passes(g, spectrum, table, prune)
         if prune and not values.all():
-            values = _passes(g, spectrum, table, rows, False)
+            values = _passes(g, spectrum, table, False)
     with _SPECTRA_LOCK:
         _SPECTRA[half] = spectrum
         if len(_SPECTRA) > TABLE_CACHE_GRIDS:
@@ -367,18 +346,11 @@ def _filtered(g: GridSignal, table: np.ndarray,
     return GridSignal._own(values, g.spacing, g.origin)
 
 
-def _passes(g: GridSignal, spectrum: np.ndarray, table: np.ndarray,
-            rows: tuple[int, int] | None, prune: bool) -> np.ndarray:
+def _passes(g: GridSignal, spectrum: np.ndarray, table: np.ndarray, prune: bool) -> np.ndarray:
     """The passes of :func:`_filtered` through ``spectrum``; the real output.
     The columns past the table's width are multiplied by 0.0; with ``prune``
     the leading-axis passes skip them."""
-    if rows is None:
-        np.fft.rfft(g.values, out=spectrum)
-    else:
-        start, stop = rows
-        np.fft.rfft(g.values[start:stop], out=spectrum[start:stop])
-        spectrum[:start] = _zero_row(g.shape[-1])
-        spectrum[stop:] = _zero_row(g.shape[-1])
+    np.fft.rfft(g.values, out=spectrum)
     width = table.shape[-1]
     kept, rest = spectrum[..., :width], spectrum[..., width:]
     lines = kept if prune else spectrum
@@ -401,11 +373,7 @@ def blur(f: GridSignal) -> GridSignal:
     """
     padded = padded_for_blur(f)
     _validate_kernel_grid(padded.shape, padded.spacing)
-    rows = None
-    if f.dimension == 2:
-        top = _padding(f, KERNEL_REACH)[0][0]
-        rows = (top, top + f.shape[0])
-    return _filtered(padded, _transfer(padded.shape, padded.spacing), rows)
+    return _filtered(padded, _transfer(padded.shape, padded.spacing))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ Formats:
   ``#`` starts a comment.
 * 1D signals: CSV with an ``index,value`` header on the integer lattice
   or ``x,value`` for general grids.
-* 2D images: PGM, both ASCII ``P2`` and binary ``P5``, maxval 255 or
-  65535, with a small ``<file>.meta`` sidecar recording spacing, origin,
-  and the linear value range so float data survives the round trip.
+* 2D images: PGM, read as ASCII ``P2`` or binary ``P5`` and written as
+  ``P5``, maxval 255 or 65535, with a small ``<file>.meta`` sidecar
+  recording spacing, origin, and the linear value range so float data
+  survives the round trip.
 * float grids: raw little-endian float64 next to a ``<file>.desc`` text
   descriptor.
 
@@ -304,7 +305,7 @@ def _span_scale(vmin: float, vmax: float) -> float:
     return 0.5 if np.isinf(vmax - vmin) else 1.0
 
 
-def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
+def write_pgm(path, signal: GridSignal, maxval: int = 255,
               header: tuple[str, ...] = ()) -> None:
     if signal.dimension != 2:
         raise FormatError("PGM serialization needs a 2D signal")
@@ -320,22 +321,10 @@ def write_pgm(path, signal: GridSignal, maxval: int = 255, binary: bool = True,
     else:
         counts = np.zeros(vals.shape, dtype=np.uint32)
     h, w = vals.shape
-    magic = "P5" if binary else "P2"
-    head = [magic]
-    head += [f"# {text}" for text in header]
-    head.append(f"{w} {h}")
-    head.append(str(maxval))
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(("\n".join(head) + "\n").encode("ascii"))
-            if maxval <= 255:
-                fh.write(counts.astype(">u1").tobytes(order="C"))
-            else:
-                fh.write(counts.astype(">u2").tobytes(order="C"))
-    else:
-        body = "\n".join(" ".join(str(c) for c in row) for row in counts)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(head) + "\n" + body + "\n")
+    head = ["P5", *(f"# {text}" for text in header), f"{w} {h}", str(maxval)]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(head) + "\n").encode("ascii"))
+        fh.write(counts.astype(">u1" if maxval <= 255 else ">u2").tobytes(order="C"))
     write_text(str(path) + _META, (), [
         f"spacing {repr(signal.spacing[0])} {repr(signal.spacing[1])}",
         f"origin {repr(signal.origin[0])} {repr(signal.origin[1])}",

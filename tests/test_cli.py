@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -348,6 +349,39 @@ def test_deblur_series_usage_errors_write_nothing(tmp_path, capsys, method, flag
     assert main(["deblur", str(g), "-o", str(out), "--method", method, *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_a_library_warning_is_one_stderr_line_under_any_filter(tmp_path, capsys, action):
+    # a = 1/2 is the paper's edge case, tv(mu) = 1, where Van Cittert warns
+    g, out = tmp_path / "g.csv", tmp_path / "rec.csv"
+    g.write_text("index,value\n0,1\n1,2\n2,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code = main(["deblur", str(g), "-o", str(out), "--method", "vancittert", "--a", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "method=vancittert iterations=8 a=1/2\n"
+    assert captured.err == "warning: tv(mu) >= 1: the iteration is not guaranteed to converge\n"
+    assert _rows(out)[0] == "index,value"
+
+
+def test_reference_metrics_score_the_rows_outside_the_window(tmp_path, capsys):
+    # out - reference spans the union of both boxes, so a reference row far
+    # outside the output window counts toward the error
+    f = GridSignal.from_lattice_dict({(-1,): 1, (0,): 2, (1,): 3}, dimension=1)
+    g = tmp_path / "g.csv"
+    dio.write_signal_csv(g, apply_to_signal(f, binomial_kernel()))
+    near = "index,value\n-1,1\n0,2\n1,3\n"
+    for name, text, errors in (("near", near, "max_err=0.0 l2_err=0.0"),
+                               ("far", near + "50,7\n", "max_err=7.0 l2_err=7.0")):
+        ref = tmp_path / f"{name}.csv"
+        ref.write_text(text)
+        assert main(["deblur", str(g), "-o", str(tmp_path / f"{name}.out.csv"),
+                     "--method", "binomial", "--N", "8", "--window", "-1:1",
+                     "--reference", str(ref)]) == 0
+        assert capsys.readouterr().out \
+            == f"method=binomial halfwidth=8 window=-1:1 {errors}\n"
 
 
 def test_deblur_vancittert_needs_a(tmp_path):

@@ -156,13 +156,12 @@ def test_signal_csv_places_only_the_rows_asked_for(tmp_path, mode):
         dio.read_signal_csv(path, mode, rows=(-3, 3))
 
 
-@pytest.mark.parametrize("binary", [True, False])
 @pytest.mark.parametrize("maxval", [255, 65535])
-def test_pgm_roundtrip(tmp_path, binary, maxval):
+def test_pgm_roundtrip(tmp_path, maxval):
     path = tmp_path / "img.pgm"
     rng = np.random.default_rng(5)
     f = GridSignal(rng.uniform(-1.0, 2.0, size=(7, 11)), (0.5, 0.25), (-1.0, 3.0))
-    dio.write_pgm(path, f, maxval=maxval, binary=binary)
+    dio.write_pgm(path, f, maxval=maxval)
     back = dio.read_pgm(path)
     assert back.shape == f.shape
     assert back.spacing == f.spacing
@@ -172,12 +171,11 @@ def test_pgm_roundtrip(tmp_path, binary, maxval):
     assert path.with_suffix(".pgm.meta").exists() or (str(path) + ".meta")
 
 
-@pytest.mark.parametrize("binary", [True, False])
-def test_pgm_roundtrip_of_a_span_past_float64(tmp_path, binary):
+def test_pgm_roundtrip_of_a_span_past_float64(tmp_path):
     # 1e308 - (-1e308) overflows; counts and values still span the grid, no warning
     path = tmp_path / "img.pgm"
     f = GridSignal(np.array([[-1e308, -2e307], [5e307, 1e308]]), (1.0, 1.0), (0.0, 0.0))
-    dio.write_pgm(path, f, binary=binary)
+    dio.write_pgm(path, f)
     back = dio.read_pgm(path)
     assert back.values[0, 0] == -1e308 and back.values[1, 1] == 1e308
     assert (back - f).max_abs() <= 2e308 / 255 / 2 * (1 + 1e-9)
