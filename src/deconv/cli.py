@@ -90,8 +90,6 @@ def _window_arg(text: str) -> tuple[int, int]:
 def _fmt(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, Fraction):

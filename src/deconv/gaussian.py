@@ -155,10 +155,6 @@ class Spectrum:
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
 
-    @property
-    def dimension(self) -> int:
-        return self.values.ndim
-
     def freqs(self, axis: int) -> np.ndarray:
         n = self.values.shape[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing[axis])
@@ -203,14 +199,10 @@ def dft_inverse(spectrum: Spectrum) -> GridSignal:
     return GridSignal._own(out.real.copy(), spectrum.spacing, spectrum.origin)
 
 
-def _require_fine(spacing) -> None:
+def _validate_kernel_grid(shape, spacing) -> None:
     for s in spacing:
         if s > MAX_KERNEL_SPACING:
             raise GridTooCoarse(f"spacing {s} > {MAX_KERNEL_SPACING} undersamples the kernel")
-
-
-def _validate_kernel_grid(shape, spacing) -> None:
-    _require_fine(spacing)
     for ax, (n, s) in enumerate(zip(shape, spacing)):
         if n * s / 2.0 < KERNEL_REACH:
             raise GridTooNarrow(
@@ -584,44 +576,3 @@ def two_bump_signal() -> GridSignal:
               + 0.6 * np.exp(-0.5 * ((x - 16.0) / 1.5) ** 2))
     return GridSignal._own(values, 0.05, 0.0)
 
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Best least-squares attempt at a compactly supported convolution inverse."""
-
-    radius: float
-    spacing: float
-    taps: int
-    relative_residual: float
-
-
-def inverse_probe(radius: float, spacing: float = 0.05,
-                  domain_radius: float = 16.0) -> ProbeReport:
-    """Least-squares search for a kernel k with h * k close to a unit spike.
-
-    Discretizes candidate taps on [-radius, radius] and measures the best
-    achievable relative L2 residual against a discrete delta on the fixed
-    domain [-domain_radius, domain_radius].  Nested tap sets make the
-    residual non-increasing in the radius; observed values plateau well
-    above zero, consistent with no compactly supported inverse existing.
-    """
-    if radius <= 0:
-        raise ParameterOutOfRange("radius must be positive")
-    _require_fine((spacing,))
-    if radius > domain_radius - KERNEL_REACH:
-        raise ParameterOutOfRange(
-            f"radius {radius} leaves no kernel reach inside domain {domain_radius}")
-    half_taps = int(math.floor(radius / spacing + 1e-9))
-    taps = spacing * np.arange(-half_taps, half_taps + 1)
-    half_grid = int(round(domain_radius / spacing))
-    x = spacing * np.arange(-half_grid, half_grid + 1)
-    density = GaussianKernelSpec(1).density
-    matrix = spacing * density(x[:, None] - taps[None, :])
-    target = np.zeros(x.size)
-    target[half_grid] = 1.0 / spacing
-    coeffs, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-    residual = matrix @ coeffs - target
-    rel = float(np.linalg.norm(residual) / np.linalg.norm(target))
-    return ProbeReport(
-        radius=float(radius), spacing=float(spacing),
-        taps=2 * half_taps + 1, relative_residual=rel)

@@ -6,7 +6,8 @@ Formats:
   ``<i> <j> <w>`` in 2D; weights are decimals or ``p/q`` rationals;
   ``#`` starts a comment.
 * 1D signals: CSV with an ``index,value`` header on the integer lattice
-  or ``x,value`` for general grids.
+  or ``x,value`` for general grids.  An index CSV is placed on the box
+  from its first to its last index, at most ``MAX_INDEX_CELLS`` cells.
 * 2D images: PGM, read as ASCII ``P2`` or binary ``P5`` and written as
   ``P5``, maxval 255 or 65535, with a small ``<file>.meta`` sidecar
   recording spacing, origin, and the linear value range so float data
@@ -45,6 +46,8 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError
 from .grids import EXACT, FLOAT, GridSignal, _on_box, _summed
 from .measures import AtomicMeasure, _checked
+
+MAX_INDEX_CELLS = 2 ** 24  # an index CSV's box: 16,777,216 cells, 128 MiB of 8-byte cells
 
 # --- text files -------------------------------------------------------------
 
@@ -215,7 +218,8 @@ def _check_row(fields, kind: str, mode: str, seen: set) -> None:
 
 def read_signal_csv(path, mode: str | None = None, rows=None) -> GridSignal:
     """A signal CSV.  Every row is parsed and checked; with ``rows=(a, b)`` an
-    index CSV places only its indices in [a, b], or one zero cell at a."""
+    index CSV places only its indices in [a, b], or one zero cell at a.  A
+    box past ``MAX_INDEX_CELLS`` is refused before it is allocated."""
     lines = list(map(_csv_fields, _text(path).split("\n")))
     fields = list(filter(None, lines))
     if not fields:
@@ -250,6 +254,11 @@ def read_signal_csv(path, mode: str | None = None, rows=None) -> GridSignal:
             a, b = rows
             kept = [(x, v) for x, v in zip(xs, values) if a <= x <= b]
             xs, values = zip(*kept) if kept else ((a,), (parse_weight("0", mode),))
+        first, last = min(xs), max(xs)
+        if last - first >= MAX_INDEX_CELLS:
+            raise FormatError(f"indices {first} to {last} span {last - first + 1} cells, "
+                              f"past the {MAX_INDEX_CELLS} an index CSV may place",
+                              path=str(path))
         return _on_box(xs, values, mode)
     if len(xs) == 1:
         return GridSignal._own(np.asarray(values), 1.0, xs[0])

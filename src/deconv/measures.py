@@ -484,9 +484,6 @@ class AtomicMeasure:
     def __len__(self) -> int:
         return len(self._atoms)
 
-    def support(self) -> tuple[Point, ...]:
-        return tuple(sorted(self._atoms))
-
     def weight(self, point) -> Weight:
         pt = as_point(point, self._dimension)
         return self._atoms.get(pt, self._zero())
@@ -568,13 +565,6 @@ class AtomicMeasure:
     def scale(self, factor) -> "AtomicMeasure":
         c = coerce_weight(factor, self._mode)
         return self._with_atoms({p: w * c for p, w in self._atoms.items()})
-
-    def __mul__(self, factor):
-        if isinstance(factor, AtomicMeasure):
-            return NotImplemented
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
     def convolve(self, other: "AtomicMeasure") -> "AtomicMeasure":
         """Convolution product: atom locations add, weights multiply.

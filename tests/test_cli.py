@@ -474,22 +474,55 @@ def test_series_deblur_ignores_rows_past_its_reach(tmp_path_factory, mode, metho
     assert spread == compact
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
-def test_an_allocation_past_the_address_limit_exits_4(tmp_path):
-    # vancittert places the whole span of an index CSV: 10^12 + 1 object cells.
-    # The child bounds its own address space to 2 GiB, so the allocation fails
-    # whatever the host's overcommit setting; one BLAS thread keeps numpy's
-    # import well inside that bound on a machine with many cores.
-    (tmp_path / "span.csv").write_text("index,value\n0,1\n1000000000000,2\n")
+def _run_under_address_limit(folder, argv):
+    """``deconv argv`` in a child that bounds its own address space to 2 GiB,
+    so a huge allocation fails whatever the host's overcommit setting; one
+    BLAS thread keeps numpy's import well inside that bound on a machine with
+    many cores."""
     code = ("import resource, runpy\n"
             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, hard))\n"
             "runpy.run_module('deconv.cli', run_name='__main__', alter_sys=True)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(deconv.__file__)))
-    run = subprocess.run([sys.executable, "-c", code, "deblur", "span.csv", "-o", "out.csv",
-                          "--method", "vancittert", "--a", "3/4"], cwd=tmp_path,
-                         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
-                         capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=folder,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True)
+
+
+def _span_refusal(path, first, last) -> str:
+    return (f"error: {path}: indices {first} to {last} span {last - first + 1} cells, "
+            f"past the {dio.MAX_INDEX_CELLS} an index CSV may place\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_a_vancittert_span_past_the_cell_cap_exits_2(tmp_path):
+    # vancittert places the whole span of an index CSV; its 10^12 + 1 cells
+    # are refused before any allocation, which the address limit would fail
+    (tmp_path / "span.csv").write_text("index,value\n0,1\n1000000000000,2\n")
+    run = _run_under_address_limit(tmp_path, ["deblur", "span.csv", "-o", "out.csv",
+                                              "--method", "vancittert", "--a", "3/4"])
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == _span_refusal("span.csv", 0, 10 ** 12)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_reference_span_past_the_cell_cap_exits_2(tmp_path, capsys):
+    # a reference is placed on its whole span; 2^64 + 1 cells are refused
+    (tmp_path / "g.csv").write_text("index,value\n-1,1\n0,2\n1,1\n")
+    (tmp_path / "ref.csv").write_text(f"index,value\n0,1\n{2 ** 64},2\n")
+    out = tmp_path / "out.csv"
+    assert main(["deblur", str(tmp_path / "g.csv"), "-o", str(out), "--method", "binomial",
+                 "--N", "8", "--window", "-1:1", "--reference", str(tmp_path / "ref.csv")]) == 2
+    assert capsys.readouterr().err == _span_refusal(tmp_path / "ref.csv", 0, 2 ** 64)
+    assert not out.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_an_allocation_past_the_address_limit_exits_4(tmp_path):
+    # the noise-lateral window 0:10^12 asks numpy for 10^12 + 1 cells
+    run = _run_under_address_limit(tmp_path, ["experiment", "noise-lateral", "-o", "out.csv",
+                                              "--window", "0:1000000000000",
+                                              "--n-from", "1", "--n-to", "1"])
     assert run.returncode == 4
     assert run.stderr.startswith("error: Unable to allocate") and "Traceback" not in run.stderr
     assert not (tmp_path / "out.csv").exists()

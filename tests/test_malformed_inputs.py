@@ -49,6 +49,10 @@ CORPUS = {
     "index-repeated": (INDEX_CSV, {"in.csv": "index,value\n0,1\n0,5\n"}, 2),
     "index-float-result-overflow": (INDEX_CSV + ["--mode", "float"],
                                     {"in.csv": "index,value\n" + "0,1e308\n1,1e308\n"}, 4),
+    # vancittert places the whole span: 10^12 + 1 cells are past the cap
+    "index-span-vancittert": (["deblur", "in.csv", "-o", "out.csv", "--method", "vancittert",
+                               "--a", "3/4"], {"in.csv": "index,value\n0,1\n1000000000000,2\n"},
+                              2),
     # a reference is read before the deblurred output is written
     "deblur-reference-missing": (REFERENCE, {"in.csv": ONE_ROW}, 2),
     "deblur-reference-bad-value": (REFERENCE, {"in.csv": ONE_ROW,

@@ -128,6 +128,13 @@ def test_is_inverse_telescoping_example():
         is_inverse(pair, series, (2, 5))  # window misses the origin
 
 
+def test_an_inversion_report_is_true_when_the_check_passes():
+    pair = from_atoms({0: 1, 1: 1})
+    series = from_atoms({k: (-1) ** k for k in range(6)})
+    passing, failing = is_inverse(pair, series, (-5, 5)), is_inverse(pair, series, (-6, 6))
+    assert (bool(passing), bool(failing)) == (passing.ok, failing.ok) == (True, False)
+
+
 def test_is_inverse_float_default_tolerance():
     pair = from_atoms({0: 1.0, 1: 1.0}, mode=FLOAT)
     series = from_atoms({k: (-1.0) ** k * (1 + 1e-12) for k in range(6)}, mode=FLOAT)
