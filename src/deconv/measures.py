@@ -18,8 +18,7 @@ for d in {1, 2}:
 * measures, signals and exact series are one array type, ``_Dense``; a
   convolution power and a Neumann series are polynomials in one such
   array, evaluated by Horner's rule, ``_horner``, on one packed integer
-  while its slots are narrow (Kronecker substitution) and on the array
-  otherwise;
+  (Kronecker substitution) whatever the width of its slots;
 * exact values become ``Fraction``s through one helper, ``_fractions``: one
   gcd per distinct numerator, each value built already reduced; a measure
   keeps its array, built once (or handed over by the array it came from)
@@ -45,7 +44,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -104,9 +103,6 @@ def _finite(atoms: dict, mode: str) -> dict:
 _PASS_PRODUCTS = 1 << 16  # products formed per pass; bounds the core's scratch memory
 _SPARSE_CELLS = 8         # a result box with more cells than this per product is
                           # indexed by the cells the products hit, not by all of them
-_PACKED_BITS = (896, 256)  # widest slot, in bits, of a series packed into one int, in 1D
-                           # and 2D; the arrays were faster from about 1,000 to 1,750 bits
-                           # in 1D and from 280 to 500 bits in 2D, by series
 
 
 def _box(points) -> tuple[Point, Point]:
@@ -257,9 +253,9 @@ class _Dense:
     back into an array.  An exact product runs on int64 while the numbers fit
     (:func:`_int64_product` states the bound) and on the object arrays past
     it; a float one is always :func:`_shifted_sum`, whose order fixes its
-    bytes.  A series may run on one packed int instead (see :func:`_horner`
-    for the slot width and when, :func:`_packed_horner` for the slots), which
-    is unpacked into this layout.
+    bytes.  A series runs on one packed int instead (see :func:`_horner` for
+    the slot width, :func:`_packed_horner` for the slots), which is unpacked
+    into this layout.
     """
 
     __slots__ = ("lo", "nums", "den")
@@ -361,22 +357,13 @@ def _horner(x: _Dense, coeffs) -> _Dense:
     one integer add at the origin, which x's box must then hold.  The result
     is ``N / den^n`` on n times x's box, where every numerator has
     ``|N| <= sum|c| max(l1(x), den)^n`` (l1 over x's numerators), so a slot
-    of ``width`` bits holds it with its sign.  While ``width`` is at most
-    ``_PACKED_BITS`` for x's dimension the sum runs on one packed integer
-    (:func:`_packed_horner`); past that, on the array, one shifted sum per
-    degree, which is then faster.
+    of ``width`` bits holds it with its sign.  The sum runs on one packed
+    integer (:func:`_packed_horner`) at every width.
     """
     n = len(coeffs) - 1
     width = (n * max(sum(map(abs, x.nums.ravel().tolist())), x.den).bit_length()
              + sum(map(abs, coeffs)).bit_length() + 2)
-    if width <= _PACKED_BITS[len(x.lo) - 1]:
-        return _packed_horner(x, coeffs, -(-width // 8))
-    value = _Dense((0,) * len(x.lo), np.full((1,) * len(x.lo), coeffs[-1], dtype=object), 1)
-    for c in reversed(coeffs[:-1]):
-        value = value.convolve(x)
-        if c:
-            value = value.add_unit(c)
-    return value
+    return _packed_horner(x, coeffs, -(-width // 8))
 
 
 def _packed_horner(x: _Dense, coeffs, slot_bytes: int) -> _Dense:

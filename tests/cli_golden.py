@@ -84,6 +84,18 @@ def _blurred(clean: dict, kernel: dict) -> dict:
     return out
 
 
+def _neumann(kernel: dict, n: int) -> dict:
+    """``sum_{k <= n} (-mu)^{*k} / c`` for ``kernel = c (delta_0 + mu)``, c the
+    weight at 0, by Horner's rule."""
+    c = kernel[0]
+    minus_mu = {i: -w / c for i, w in kernel.items() if i != 0}
+    nu = {0: Fraction(1)}
+    for _ in range(n):
+        nu = _blurred(nu, minus_mu)
+        nu[0] = nu.get(0, 0) + 1
+    return {i: w / c for i, w in nu.items()}
+
+
 def _raw(values, shape, spacing: str, origin: str) -> tuple[bytes, str]:
     data = np.asarray([float(v) for v in values], dtype="<f8").tobytes()
     desc = (f"dtype float64-le\nshape {' '.join(map(str, shape))}\n"
@@ -94,6 +106,9 @@ def _raw(values, shape, spacing: str, origin: str) -> tuple[bytes, str]:
 CLEAN = {-2: 1, 0: 3, 1: -2}
 BINOMIAL = {-1: Fraction(1, 4), 0: Fraction(1, 2), 1: Fraction(1, 4)}
 HALF_PAIR = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+# a = (3 * 2^64 + 1) / 2^66: its order-16 Neumann series has slots 1,079 bits wide
+WIDE = {-1: Fraction(2**64 - 1, 2**67), 0: Fraction(3 * 2**64 + 1, 2**66),
+        1: Fraction(2**64 - 1, 2**67)}
 RAW_1D, RAW_1D_DESC = _raw(BUMP, (53,), "0.25", "-6.5")
 RAW_2D, RAW_2D_DESC = _raw([v / 16 for row in IMAGE for v in row], (26, 28), "0.5 0.5",
                            "-6.0 -7.0")
@@ -108,6 +123,8 @@ INPUTS = {
     "pair_inverse.txt": "# right series, four terms\n0 1\n1 -1\n2 1\n3 -1\n",
     "pair2d.txt": "0 0 1/2\n0 1 1/2\n",
     "empty.txt": "# no atoms\n",
+    "wide.txt": "".join(f"{i} {w}\n" for i, w in WIDE.items()),
+    "wide_inverse.txt": "".join(f"{i} {w}\n" for i, w in sorted(_neumann(WIDE, 16).items())),
     "clean_lattice.csv": _csv_index(CLEAN),
     "blurred_lattice.csv": _csv_index(_blurred(CLEAN, BINOMIAL)),
     "halfpair_lattice.csv": _csv_index(_blurred(CLEAN, HALF_PAIR)),
@@ -197,6 +214,12 @@ def _runs():
     yield "experiment/noise-gaussian", [], \
         ["experiment", "noise-gaussian", "-o", "out.csv", "--sigma", "1e-9",
          "--band-limit", "3"], True
+    yield "invert/neumann-wide/exact", ["wide.txt"], \
+        ["invert", "wide.txt", "-o", "out.txt", "--method", "neumann", "--N", "16",
+         "--mode", "exact"], False
+    yield "verify/neumann-wide/exact", ["wide.txt", "wide_inverse.txt"], \
+        ["verify", "wide.txt", "wide_inverse.txt", "--window", "-8:8",
+         "--tol", "1/129140163"], False
 
 
 REFUSAL = "refusal/"

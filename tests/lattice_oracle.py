@@ -6,11 +6,13 @@ onto one array core: every product is added to a ``Fraction`` or float
 accumulator as it is formed, exact sums pay a gcd on each addition, and a
 float sum adds its products in the order the loops meet them.
 ``neumann_inverse`` and ``power`` are the loops of measures that the
-exact series ran before they moved onto one integer-numerator array, and
-``reconstruct`` is the blur, unblur and spill that ran on signals of
-``Fraction``s before they moved onto one.  The tests compare the library
-with these results atom for atom in exact mode and bit for bit in float
-mode, atom order included where floats are summed.
+exact series ran before they moved onto one integer-numerator array,
+``horner`` is the loop on that array that wide series ran before every
+series was packed into one int, and ``reconstruct`` is the blur, unblur
+and spill that ran on signals of ``Fraction``s before they moved onto one.
+The tests compare the library with these results atom for atom in exact
+mode and bit for bit in float mode, atom order included where floats are
+summed.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import numpy as np
 from deconv import EXACT, AtomicMeasure, GridSignal, NeumannReport, NormNotLessThanOne
 from deconv import apply_to_signal as library_apply
 from deconv.grids import _zero_array
+from deconv.measures import _Dense
 from deconv.neumann import _pick_order
 from deconv.onesided import MarginReport, _margin_of
 
@@ -62,6 +65,17 @@ def power(m: AtomicMeasure, n: int) -> AtomicMeasure:
     for _ in range(n):
         result = result.convolve(m)
     return result
+
+
+def horner(x: _Dense, coeffs) -> _Dense:
+    """``sum_k coeffs[k] x^{*k}`` by Horner's rule on the array: one shifted sum
+    per degree and, for a nonzero coefficient, one integer add at the origin."""
+    value = _Dense((0,) * len(x.lo), np.full((1,) * len(x.lo), coeffs[-1], dtype=object), 1)
+    for c in reversed(coeffs[:-1]):
+        value = value.convolve(x)
+        if c:
+            value = value.add_unit(c)
+    return value
 
 
 def neumann_inverse(mu: AtomicMeasure, config) -> tuple[AtomicMeasure, NeumannReport]:

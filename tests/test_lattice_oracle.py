@@ -325,14 +325,6 @@ def test_series_over_unrelated_denominators_match_oracle():
 # --- Horner on one packed int against the array loop ------------------------------
 
 
-def horner_on(x, coeffs, packed_bits):
-    """``measures._horner`` with every ``_PACKED_BITS`` set: 0 runs the array
-    loop, ``math.inf`` the packed int, whatever the slot width."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "_PACKED_BITS", (packed_bits, packed_bits))
-        return measures._horner(x, coeffs)
-
-
 def dense_view(d):
     assert all(type(n) is int for n in d.nums.flat)
     return d.lo, d.den, d.nums.tolist()
@@ -369,9 +361,27 @@ def horner_cases(draw):
 @example((_Dense((0,), np.array([5], dtype=object), 3), [1, -2, 0, 4, 0, 0, 7]))
 @example((_Dense((0, 0), np.array([[-1]], dtype=object), 1), [0] * 9 + [1]))
 @example((_Dense((-1,), np.array([1, 1], dtype=object), 1), [1] * 41))  # the bound is met
+# alternating series of slot widths 894 and 898 bits (1D), 256 and 261 bits (2D)
+@example((_Dense((-1,), np.array([3, 0, 5], dtype=object), 7), [(-1) ** k for k in range(222)]))
+@example((_Dense((-1,), np.array([3, 0, 5], dtype=object), 7), [(-1) ** k for k in range(223)]))
+@example((_Dense((-1, 0), np.array([[1, 2], [0, 3], [-2, 1]], dtype=object), 7),
+          [(-1) ** k for k in range(63)]))
+@example((_Dense((-1, 0), np.array([[1, 2], [0, 3], [-2, 1]], dtype=object), 7),
+          [(-1) ** k for k in range(64)]))
+# wider than the drawn cases: a three-point Neumann series over 2^66 (1,079 bits), seven
+# taps over 2^61 - 1 (2,448 bits), and 3x3 powers over 2^31 - 1 (623 bits) and 2^61 - 1
+# (979 bits)
+@example((_Dense((-1,), np.array([2**64 - 1, 0, 2**64 - 1], dtype=object), 2**66),
+          [(-1) ** k for k in range(17)]))
+@example((_Dense((-3,), np.array([1, -2, 3, 0, 3, -2, 1], dtype=object), 2**61 - 1),
+          [(-1) ** k for k in range(41)]))
+@example((_Dense((-1, -1), np.arange(1, 10, dtype=object).reshape(3, 3), 2**31 - 1),
+          [0] * 20 + [1]))
+@example((_Dense((-1, -1), np.arange(1, 10, dtype=object).reshape(3, 3), 2**61 - 1),
+          [0] * 16 + [1]))
 def test_packed_horner_matches_the_array_loop(case):
     x, coeffs = case
-    assert dense_view(horner_on(x, coeffs, math.inf)) == dense_view(horner_on(x, coeffs, 0))
+    assert dense_view(measures._horner(x, coeffs)) == dense_view(oracle.horner(x, coeffs))
 
 
 @pytest.mark.parametrize("x", [
@@ -384,37 +394,9 @@ def test_packed_slots_of_every_width_up_to_nine_bytes(x):
     equal to the array loop."""
     for n in range(1, 33):
         coeffs = [(-1) ** k * (k % 5 + 1) for k in range(n + 1)]
-        want = dense_view(horner_on(x, coeffs, 0))
+        want = dense_view(oracle.horner(x, coeffs))
         for slot_bytes in range(-(-slot_width(x, coeffs) // 8), 10):
             assert dense_view(measures._packed_horner(x, coeffs, slot_bytes)) == want
-
-
-@pytest.mark.parametrize("x", [
-    _Dense((-1,), np.array([3, 0, 5], dtype=object), 7),
-    _Dense((-1, 0), np.array([[1, 2], [0, 3], [-2, 1]], dtype=object), 7),
-], ids=["1d", "2d"])
-def test_horner_packs_up_to_the_crossover_and_not_past_it(x, monkeypatch):
-    """The last order packed and the first one left on the array, each equal to
-    the array loop's result."""
-    def series(n):
-        return [(-1) ** k for k in range(n + 1)]
-
-    n = 0
-    while slot_width(x, series(n + 1)) <= measures._PACKED_BITS[len(x.lo) - 1]:
-        n += 1
-    packed = []
-    real = measures._packed_horner
-
-    def spy(*args):
-        packed.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(measures, "_packed_horner", spy)
-    for order, was_packed in ((n, True), (n + 1, False)):
-        packed.clear()
-        got = measures._horner(x, series(order))
-        assert bool(packed) is was_packed
-        assert dense_view(got) == dense_view(horner_on(x, series(order), 0))
 
 
 # --- exact products on int64 against the object-array loop -----------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import measures_1d, measures_2d, nonzero_measures_1d
 from deconv import (
-    EXACT,
     FLOAT,
     AtomicMeasure,
     DimensionMismatch,

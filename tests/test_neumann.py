@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import measures_1d
 from deconv import (
-    EXACT,
     FLOAT,
     AtomicMeasure,
     GridSignal,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from deconv import (
     EXACT,
     FLOAT,
-    AtomicMeasure,
     DimensionMismatch,
     GridSignal,
     InsufficientTruncation,
