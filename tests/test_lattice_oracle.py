@@ -361,13 +361,6 @@ def horner_cases(draw):
 @example((_Dense((0,), np.array([5], dtype=object), 3), [1, -2, 0, 4, 0, 0, 7]))
 @example((_Dense((0, 0), np.array([[-1]], dtype=object), 1), [0] * 9 + [1]))
 @example((_Dense((-1,), np.array([1, 1], dtype=object), 1), [1] * 41))  # the bound is met
-# alternating series of slot widths 894 and 898 bits (1D), 256 and 261 bits (2D)
-@example((_Dense((-1,), np.array([3, 0, 5], dtype=object), 7), [(-1) ** k for k in range(222)]))
-@example((_Dense((-1,), np.array([3, 0, 5], dtype=object), 7), [(-1) ** k for k in range(223)]))
-@example((_Dense((-1, 0), np.array([[1, 2], [0, 3], [-2, 1]], dtype=object), 7),
-          [(-1) ** k for k in range(63)]))
-@example((_Dense((-1, 0), np.array([[1, 2], [0, 3], [-2, 1]], dtype=object), 7),
-          [(-1) ** k for k in range(64)]))
 # wider than the drawn cases: a three-point Neumann series over 2^66 (1,079 bits), seven
 # taps over 2^61 - 1 (2,448 bits), and 3x3 powers over 2^31 - 1 (623 bits) and 2^61 - 1
 # (979 bits)
@@ -397,6 +390,35 @@ def test_packed_slots_of_every_width_up_to_nine_bytes(x):
         want = dense_view(oracle.horner(x, coeffs))
         for slot_bytes in range(-(-slot_width(x, coeffs) // 8), 10):
             assert dense_view(measures._packed_horner(x, coeffs, slot_bytes)) == want
+
+
+@pytest.mark.parametrize("x", [
+    _Dense((-1,), np.array([3, 0, 5], dtype=object), 7),
+    _Dense((-1, 0), np.array([[1, 2], [0, 3], [-2, 1]], dtype=object), 7),
+], ids=["1d", "2d"])
+def test_horner_packs_up_to_the_crossover_and_not_past_it(x, monkeypatch):
+    """The last order under the old array crossover (896 bits in 1D, 256 in
+    2D) and the first one past it are both packed, each equal to the array
+    loop's result."""
+    def series(n):
+        return [(-1) ** k for k in range(n + 1)]
+
+    n = 0
+    while slot_width(x, series(n + 1)) <= (896, 256)[len(x.lo) - 1]:
+        n += 1
+    packed = []
+    real = measures._packed_horner
+
+    def spy(*args):
+        packed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(measures, "_packed_horner", spy)
+    for order in (n, n + 1):
+        packed.clear()
+        got = measures._horner(x, series(order))
+        assert len(packed) == 1
+        assert dense_view(got) == dense_view(oracle.horner(x, series(order)))
 
 
 # --- exact products on int64 against the object-array loop -----------------------
